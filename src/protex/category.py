@@ -42,9 +42,10 @@ class Strictness:
 class CategoryInstance(ABC):
     """Pointed category with computable kernels, cokernels and solvers.
 
-    Morphism equality is value equality; objects are compared by identity
-    of presentation.  Implementations must be immutable and safe for
-    concurrent read-only use.
+    Morphisms are hashable values: ``==`` is morphism equality and equal
+    morphisms hash alike, so searches may index them in sets and dicts.
+    Objects are compared by identity of presentation.  Implementations
+    must be immutable and safe for concurrent read-only use.
     """
 
     name: str = "category"
@@ -84,11 +85,8 @@ class CategoryInstance(ABC):
     @abstractmethod
     def is_iso(self, f: Mor) -> bool: ...
 
-    def mor_equal(self, f: Mor, g: Mor) -> bool:
-        return f == g
-
     def is_zero_morphism(self, f: Mor) -> bool:
-        return self.mor_equal(f, self.zero_morphism(self.dom(f), self.cod(f)))
+        return f == self.zero_morphism(self.dom(f), self.cod(f))
 
     # enumeration; only the finite instances provide these
     @property
@@ -193,6 +191,37 @@ class RlpResult:
     squares_checked: int
 
 
+class LiftingSearch:
+    """Commuting squares from a generator g: A -> B to r: W -> Y, indexed once.
+
+    Hom(B, Y) is bucketed by v o g, so the squares over a top leg u are one
+    lookup of r o u; they come out u-outer, v-inner in hom enumeration
+    order.  A square the instance's ``solve_lift`` leaves undecided is
+    tested against the fillers {(d o g, r o d) : d in Hom(B, W)}, built
+    once on first need.
+    """
+
+    def __init__(self, C: CategoryInstance, g: Mor, r: Mor):
+        self.C, self.g, self.r = C, g, r
+        tops = C.morphisms(C.dom(g), C.dom(r))
+        bottoms: dict = {}
+        for v in C.morphisms(C.cod(g), C.cod(r)):
+            bottoms.setdefault(C.compose(v, g), []).append(v)
+        self.squares = [(u, v) for u in tops for v in bottoms.get(C.compose(r, u), ())]
+        self._fillers: Optional[set] = None
+
+    def lifts(self, u: Mor, v: Mor) -> bool:
+        C, g, r = self.C, self.g, self.r
+        decided, d = C.solve_lift(g, u, r, v)
+        if decided:
+            return d is not None
+        if self._fillers is None:
+            self._fillers = {
+                (C.compose(d, g), C.compose(r, d)) for d in C.morphisms(C.cod(g), C.dom(r))
+            }
+        return (u, v) in self._fillers
+
+
 def has_rlp(
     C: CategoryInstance,
     f: Mor,
@@ -206,7 +235,6 @@ def has_rlp(
     unfillable square is returned as a witness.
     """
     checked = 0
-    X, Y = C.dom(f), C.cod(f)
     for g in against:
         decided, ok = C.solve_rlp(f, g)
         if decided:
@@ -214,33 +242,14 @@ def has_rlp(
             if not ok:
                 return RlpResult(False, {"generator": C.describe_morphism(g)}, checked)
             continue
-        A, B = C.dom(g), C.cod(g)
-        for u in C.morphisms(A, X):
-            ru = C.compose(f, u)
-            for v in C.morphisms(B, Y):
-                if not C.mor_equal(ru, C.compose(v, g)):
-                    continue
-                checked += 1
-                if budget is not None and checked > budget:
-                    raise BudgetExceeded(f"lifting budget {budget} exceeded")
-                if _find_lift(C, g, u, f, v) is None:
-                    witness = {
-                        "generator": C.describe_morphism(g),
-                        "top": C.describe_morphism(u),
-                        "bottom": C.describe_morphism(v),
-                    }
-                    return RlpResult(False, witness, checked)
+        search = LiftingSearch(C, g, f)
+        for u, v in search.squares:
+            checked += 1
+            if budget is not None and checked > budget:
+                raise BudgetExceeded(f"lifting budget {budget} exceeded")
+            if not search.lifts(u, v):
+                return RlpResult(False, _witness(C, generator=g, top=u, bottom=v), checked)
     return RlpResult(True, None, checked)
-
-
-def _find_lift(C: CategoryInstance, g: Mor, u: Mor, f: Mor, v: Mor) -> Optional[Mor]:
-    decided, d = C.solve_lift(g, u, f, v)
-    if decided:
-        return d
-    for d in C.morphisms(C.cod(g), C.dom(f)):
-        if C.mor_equal(C.compose(d, g), u) and C.mor_equal(C.compose(f, d), v):
-            return d
-    return None
 
 
 def admissible_monos(C: CategoryInstance) -> list[Mor]:

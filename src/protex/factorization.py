@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .category import CategoryInstance, Mor, Obj
+from .category import CategoryInstance, LiftingSearch, Mor, Obj
 from .errors import BudgetExceeded, FuelExhausted, InvariantViolation
 
 fuel_default = 100
@@ -73,7 +73,7 @@ class FactorizationCertificate:
             W = C.cod(step.step_mono)
         if left != self.left:
             return False
-        return C.mor_equal(C.compose(self.right, self.left), self.factored)
+        return C.compose(self.right, self.left) == self.factored
 
 
 def _serialize_for_order(C: CategoryInstance, f: Mor) -> str:
@@ -83,37 +83,28 @@ def _serialize_for_order(C: CategoryInstance, f: Mor) -> str:
 def _first_problem(
     C: CategoryInstance, r: Mor, G: GeneratingSet, budget: Optional[int], used: list[int]
 ):
-    """First unfilled lifting problem against the generators, or None."""
-    W, Y = C.dom(r), C.cod(r)
-    problems = []
+    """First unfilled lifting problem against the generators, or None.
+
+    Every commuting square of every generator counts against the budget,
+    but lifts are tested only up to the first generator with an unfilled
+    square, because the generator index leads the problem order.
+    """
+    first = None
     for a, g in enumerate(G.generators):
-        A, B = C.dom(g), C.cod(g)
-        for u in C.morphisms(A, W):
-            ru = C.compose(r, u)
-            for v in C.morphisms(B, Y):
-                if not C.mor_equal(ru, C.compose(v, g)):
-                    continue
-                used[0] += 1
-                if budget is not None and used[0] > budget:
-                    raise BudgetExceeded(f"lifting budget {budget} exceeded")
-                if _has_lift(C, g, u, r, v):
-                    continue
-                problems.append((a, _serialize_for_order(C, u), _serialize_for_order(C, v), u, v))
-    if not problems:
-        return None
-    problems.sort(key=lambda item: item[:3])
-    a, _, _, u, v = problems[0]
-    return a, u, v
-
-
-def _has_lift(C, g, u, r, v) -> bool:
-    decided, d = C.solve_lift(g, u, r, v)
-    if decided:
-        return d is not None
-    for d in C.morphisms(C.cod(g), C.dom(r)):
-        if C.mor_equal(C.compose(d, g), u) and C.mor_equal(C.compose(r, d), v):
-            return True
-    return False
+        search = LiftingSearch(C, g, r)
+        used[0] += len(search.squares)
+        if search.squares and budget is not None and used[0] > budget:
+            raise BudgetExceeded(f"lifting budget {budget} exceeded")
+        if first is not None:
+            continue
+        unfilled = [(u, v) for u, v in search.squares if not search.lifts(u, v)]
+        if unfilled:
+            u, v = min(
+                unfilled,
+                key=lambda s: (_serialize_for_order(C, s[0]), _serialize_for_order(C, s[1])),
+            )
+            first = a, u, v
+    return first
 
 
 def factor_map(
@@ -204,12 +195,8 @@ def precover(
     surjective = True
     for g in G.generators:
         cok, _ = C.cokernel(g)
-        for h in C.morphisms(cok, X):
-            if not any(
-                C.mor_equal(C.compose(cover, h2), h) for h2 in C.morphisms(cok, A)
-            ):
-                surjective = False
-                break
-        if not surjective:
+        homs = C.morphisms(cok, X)
+        if not {C.compose(cover, h) for h in C.morphisms(cok, A)}.issuperset(homs):
+            surjective = False
             break
     return PrecoverResult(cover, cert, surjective)

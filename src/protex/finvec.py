@@ -243,8 +243,3 @@ class FinWeightedVec(WeightedModuleCategory):
                     coords[i] = F.add(coords[i], F.mul(a, c))
             result.add(tuple(coords))
         return result
-
-
-def enumerate_morphisms(instance: FinWeightedVec, X: WeightedSpace, Y: WeightedSpace):
-    """Complete, duplicate-free list of non-expanding maps X -> Y."""
-    return instance.morphisms(X, Y)

@@ -8,11 +8,10 @@ data) so that identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Optional
 
 from . import __version__
-from .category import AuditReport, CategoryInstance
-from .constructions import MorphismClassification
+from .category import CategoryInstance
 from .errors import InvariantViolation, ParseError
 from .factorization import FactorizationCertificate, FactorizationStep
 from .finvec import FinWeightedVec, WeightedModuleCategory
@@ -177,10 +176,6 @@ def parse_map(data: Any, path: str = "map") -> BoundedMap:
 # ---------------------------------------------------------------------------
 
 
-def classification_to_json(record: MorphismClassification) -> dict:
-    return record.as_dict()
-
-
 def ortho_to_json(ob: OrthoBasis) -> dict:
     return {
         "ambient": space_to_json(ob.ambient),
@@ -190,10 +185,6 @@ def ortho_to_json(ob: OrthoBasis) -> dict:
         "null_vectors": [vector_to_json(v) for v in ob.null_vectors],
         "null_pivots": list(ob.null_pivots),
     }
-
-
-def audit_report_to_json(report: AuditReport) -> dict:
-    return report.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +271,22 @@ def object_to_json(C: CategoryInstance, X: Any) -> Any:
 
 
 def parse_object(C: CategoryInstance, data: Any, path: str = "object") -> Any:
+    """An object of C; for the finite instances it must lie inside the bounds."""
     if isinstance(C, WeightedModuleCategory):
-        return parse_space(data, path)
+        space = parse_space(data, path)
+        if space.field != C.field:
+            raise ParseError(f"{path}.field", "field differs from the instance field")
+        if isinstance(C, FinWeightedVec) and space.dim > C.max_dim:
+            raise ParseError(f"{path}.weights", f"dimension exceeds max_dim {C.max_dim}")
+        if isinstance(C, FinWeightedVec) and not set(space.weights) <= set(C.weights):
+            raise ParseError(f"{path}.weights", "weight outside the instance weight set")
+        return space
     if isinstance(C, FinPointedSet):
         size = _need(data, "size", path)
         if not isinstance(size, int) or size < 0:
             raise ParseError(f"{path}.size", "size must be a non-negative integer")
+        if size > C.max_size:
+            raise ParseError(f"{path}.size", f"size {size} exceeds max_size {C.max_size}")
         return PointedSet(size)
     raise ParseError(path, f"cannot parse an object for instance {C.name}")
 
@@ -308,26 +309,33 @@ def certificate_to_json(C: CategoryInstance, cert: FactorizationCertificate) -> 
                 "attach": morphism_to_json(C, s.attach),
                 "cell": morphism_to_json(C, s.cell),
                 "step_mono": morphism_to_json(C, s.step_mono),
-                "pushout_object": object_to_json(C, _mor_cod(C, s.step_mono)),
+                "pushout_object": object_to_json(C, C.cod(s.step_mono)),
             }
             for s in cert.steps
         ],
     }
 
 
-def _mor_cod(C: CategoryInstance, f: Any):
-    return C.cod(f)
-
-
-def parse_certificate(C: CategoryInstance, data: Any, path: str = "certificate") -> FactorizationCertificate:
+def parse_certificate(
+    C: CategoryInstance,
+    data: Any,
+    path: str = "certificate",
+    generator_count: Optional[int] = None,
+) -> FactorizationCertificate:
+    """Certificate from JSON; with ``generator_count``, step indices must name a generator."""
     steps_raw = _need(data, "steps", path)
     if not isinstance(steps_raw, list):
         raise ParseError(f"{path}.steps", "expected a list of steps")
     steps = []
     for i, s in enumerate(steps_raw):
         idx = _need(s, "generator_index", f"{path}.steps[{i}]")
-        if not isinstance(idx, int) or idx < 0:
+        if not _is_count(idx):
             raise ParseError(f"{path}.steps[{i}].generator_index", "expected an index")
+        if generator_count is not None and idx >= generator_count:
+            raise ParseError(
+                f"{path}.steps[{i}].generator_index",
+                f"index {idx} out of range for {generator_count} generators",
+            )
         steps.append(
             FactorizationStep(
                 idx,
@@ -337,15 +345,23 @@ def parse_certificate(C: CategoryInstance, data: Any, path: str = "certificate")
             )
         )
     rlp = data.get("rlp_verified", False)
+    if not isinstance(rlp, bool):
+        raise ParseError(f"{path}.rlp_verified", "expected true or false")
     problems = data.get("problems_checked", 0)
+    if not _is_count(problems):
+        raise ParseError(f"{path}.problems_checked", "expected a non-negative integer")
     return FactorizationCertificate(
         parse_morphism(C, _need(data, "factored", path), f"{path}.factored"),
         parse_morphism(C, _need(data, "left", path), f"{path}.left"),
         parse_morphism(C, _need(data, "right", path), f"{path}.right"),
         tuple(steps),
-        bool(rlp),
-        int(problems),
+        rlp,
+        problems,
     )
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 # ---------------------------------------------------------------------------

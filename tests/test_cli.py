@@ -233,6 +233,75 @@ class TestFactor:
         assert "replay: pass" in out
 
 
+class TestFactorInputValidation:
+    def precover_cert(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", FINVEC_INSTANCE)
+        obj = write(tmp_path, "x.json", space_json(["g^1"], field={"trivial": "F2"}))
+        out_path = tmp_path / "factor.json"
+        code, _, _ = run_main(
+            ["factor", "--instance", inst, "--object", obj, "--mode", "precover",
+             "--output", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        cert = json.loads(out_path.read_text())["result"]["certificate"]
+        assert cert["steps"]
+        return inst, cert
+
+    def verify(self, tmp_path, capsys, inst, cert):
+        cert_path = write(tmp_path, "cert.json", cert)
+        return run_main(["verify-cert", "--instance", inst, "--cert", cert_path], capsys)
+
+    def test_out_of_range_generator_index_exits_2(self, tmp_path, capsys):
+        inst, cert = self.precover_cert(tmp_path, capsys)
+        cert["steps"][0]["generator_index"] = 10_000
+        code, _, err = self.verify(tmp_path, capsys, inst, cert)
+        assert code == 2
+        assert "steps[0].generator_index" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("problems_checked", "many"),
+            ("problems_checked", -1),
+            ("problems_checked", True),
+            ("rlp_verified", "no"),
+            ("rlp_verified", 0),
+        ],
+    )
+    def test_malformed_certificate_fields_exit_2(self, tmp_path, capsys, field, value):
+        inst, cert = self.precover_cert(tmp_path, capsys)
+        cert[field] = value
+        code, _, err = self.verify(tmp_path, capsys, inst, cert)
+        assert code == 2
+        assert f"certificate.{field}" in err
+
+    @pytest.mark.parametrize(
+        "instance, obj, message",
+        [
+            (FINVEC_INSTANCE, space_json(["g^5"], field={"trivial": "F2"}), "weight outside"),
+            (FINVEC_INSTANCE, space_json(["g^0", "g^1"], field={"trivial": "F2"}), "exceeds max_dim"),
+            (FINVEC_INSTANCE, space_json(["g^1"]), "field differs"),
+            ({"kind": "pointed", "max_size": 1}, {"size": 2}, "exceeds max_size"),
+        ],
+    )
+    def test_object_outside_the_universe_exits_2(self, tmp_path, capsys, instance, obj, message):
+        code, out, err = run_main(
+            [
+                "factor",
+                "--instance",
+                write(tmp_path, "inst.json", instance),
+                "--object",
+                write(tmp_path, "x.json", obj),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert message in err
+        assert "admissible mono" not in out
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})
