@@ -72,7 +72,7 @@ from .category import (
     validate_ses,
 )
 from .pointed_sets import FinPointedSet, PointedMap, PointedSet, counterexample_suite
-from .finvec import FinWeightedVec, WeightedModuleCategory
+from .finvec import FinWeightedVec, WeightedModuleCategory, enumerate_morphisms
 from .factorization import (
     FactorizationCertificate,
     GeneratingSet,

@@ -106,10 +106,6 @@ class CategoryInstance(ABC):
     def pushout(self, i: Mor, g: Mor):
         raise SolverUnavailable(f"{self.name} does not construct pushouts")
 
-    def solve_lift(self, g: Mor, u: Mor, f: Mor, v: Mor) -> tuple[bool, Optional[Mor]]:
-        """Instance shortcut for lifting problems: (decided, lift-or-None)."""
-        return False, None
-
     def solve_rlp(self, f: Mor, g: Mor) -> tuple[bool, bool]:
         """Instance shortcut deciding RLP of f against g for all squares at once."""
         return False, False
@@ -196,9 +192,8 @@ class LiftingSearch:
 
     Hom(B, Y) is bucketed by v o g, so the squares over a top leg u are one
     lookup of r o u; they come out u-outer, v-inner in hom enumeration
-    order.  A square the instance's ``solve_lift`` leaves undecided is
-    tested against the fillers {(d o g, r o d) : d in Hom(B, W)}, built
-    once on first need.
+    order.  A square lifts iff it is among the fillers
+    {(d o g, r o d) : d in Hom(B, W)}, built once on first need.
     """
 
     def __init__(self, C: CategoryInstance, g: Mor, r: Mor):
@@ -212,9 +207,6 @@ class LiftingSearch:
 
     def lifts(self, u: Mor, v: Mor) -> bool:
         C, g, r = self.C, self.g, self.r
-        decided, d = C.solve_lift(g, u, r, v)
-        if decided:
-            return d is not None
         if self._fillers is None:
             self._fillers = {
                 (C.compose(d, g), C.compose(r, d)) for d in C.morphisms(C.cod(g), C.dom(r))

@@ -307,9 +307,7 @@ def _cmd_factor(args):
 def _cmd_verify_cert(args):
     C = ser.parse_instance(ser.load_json_file(args.instance_path))
     G = _load_generators(args, C)
-    cert = ser.parse_certificate(
-        C, ser.load_json_file(args.cert_path), generator_count=len(G.generators)
-    )
+    cert = ser.parse_certificate(C, ser.load_json_file(args.cert_path), len(G.generators))
     ok = cert.replay(C, G)
     result = {"replayed": ok, "steps": len(cert.steps)}
     return result, [f"certificate replay: {'pass' if ok else 'fail'}"], EXIT_OK

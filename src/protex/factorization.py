@@ -99,10 +99,7 @@ def _first_problem(
             continue
         unfilled = [(u, v) for u, v in search.squares if not search.lifts(u, v)]
         if unfilled:
-            u, v = min(
-                unfilled,
-                key=lambda s: (_serialize_for_order(C, s[0]), _serialize_for_order(C, s[1])),
-            )
+            u, v = min(unfilled, key=lambda s: [_serialize_for_order(C, m) for m in s])
             first = a, u, v
     return first
 

@@ -86,15 +86,6 @@ class WeightedModuleCategory(CategoryInstance):
     def pushout(self, i, g):
         return con.pushout(i, g)
 
-    def solve_lift(self, g, u, f, v):
-        # lifting into an arbitrary target is decided here only for squares
-        # over the zero object, where a retraction of the strict mono lifts u
-        if f.codomain.dim == 0 and con.classify_morphism(g).strict_mono:
-            r = con.retraction(g)
-            if r is not None:
-                return True, compose(u, r)
-        return False, None
-
     def solve_rlp(self, f, g):
         # strict monos split here, so the retraction fills every square over 0
         if f.codomain.dim == 0 and con.classify_morphism(g).strict_mono:
@@ -141,11 +132,8 @@ class FinWeightedVec(WeightedModuleCategory):
     def enumerable(self) -> bool:
         return True
 
-    def solve_lift(self, g, u, f, v):
-        # hom-sets are finite; lifting problems are answered by enumeration
-        return False, None
-
     def solve_rlp(self, f, g):
+        # hom-sets are finite; lifting problems are answered by enumeration
         return False, False
 
     def bounds_descriptor(self) -> dict:
@@ -243,3 +231,8 @@ class FinWeightedVec(WeightedModuleCategory):
                     coords[i] = F.add(coords[i], F.mul(a, c))
             result.add(tuple(coords))
         return result
+
+
+def enumerate_morphisms(instance: FinWeightedVec, X: WeightedSpace, Y: WeightedSpace):
+    """Complete, duplicate-free list of non-expanding maps X -> Y."""
+    return instance.morphisms(X, Y)

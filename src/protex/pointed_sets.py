@@ -55,6 +55,10 @@ class PointedMap:
         return self.images[x]
 
 
+def pointed_map(dom: PointedSet, cod: PointedSet, images) -> PointedMap:
+    return PointedMap(dom, cod, tuple(images))
+
+
 def is_strict_mono_map(f: PointedMap) -> bool:
     return len(set(f.images)) == len(f.images)
 

@@ -8,10 +8,11 @@ data) so that identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from . import __version__
-from .category import CategoryInstance
+from .category import AuditReport, CategoryInstance
+from .constructions import MorphismClassification
 from .errors import InvariantViolation, ParseError
 from .factorization import FactorizationCertificate, FactorizationStep
 from .finvec import FinWeightedVec, WeightedModuleCategory
@@ -176,6 +177,10 @@ def parse_map(data: Any, path: str = "map") -> BoundedMap:
 # ---------------------------------------------------------------------------
 
 
+def classification_to_json(record: MorphismClassification) -> dict:
+    return record.as_dict()
+
+
 def ortho_to_json(ob: OrthoBasis) -> dict:
     return {
         "ambient": space_to_json(ob.ambient),
@@ -185,6 +190,10 @@ def ortho_to_json(ob: OrthoBasis) -> dict:
         "null_vectors": [vector_to_json(v) for v in ob.null_vectors],
         "null_pivots": list(ob.null_pivots),
     }
+
+
+def audit_report_to_json(report: AuditReport) -> dict:
+    return report.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +328,10 @@ def certificate_to_json(C: CategoryInstance, cert: FactorizationCertificate) -> 
 def parse_certificate(
     C: CategoryInstance,
     data: Any,
+    generator_count: int,
     path: str = "certificate",
-    generator_count: Optional[int] = None,
 ) -> FactorizationCertificate:
-    """Certificate from JSON; with ``generator_count``, step indices must name a generator."""
+    """Certificate from JSON; each step's index must name one of the generators."""
     steps_raw = _need(data, "steps", path)
     if not isinstance(steps_raw, list):
         raise ParseError(f"{path}.steps", "expected a list of steps")
@@ -331,7 +340,7 @@ def parse_certificate(
         idx = _need(s, "generator_index", f"{path}.steps[{i}]")
         if not _is_count(idx):
             raise ParseError(f"{path}.steps[{i}].generator_index", "expected an index")
-        if generator_count is not None and idx >= generator_count:
+        if idx >= generator_count:
             raise ParseError(
                 f"{path}.steps[{i}].generator_index",
                 f"index {idx} out of range for {generator_count} generators",

@@ -19,9 +19,6 @@ from protex.scalars import MAG_ONE, Magnitude, PrimeField
 
 
 def reference_lift(C, g, u, r, v):
-    decided, d = C.solve_lift(g, u, r, v)
-    if decided:
-        return d is not None
     for d in C.morphisms(C.cod(g), C.dom(r)):
         if C.compose(d, g) == u and C.compose(r, d) == v:
             return True

@@ -100,7 +100,7 @@ class TestCertificates:
         X = WeightedSpace(PrimeField(2), (E1,))
         cert = factor_map(C, C.zero_morphism(C.zero_object(), X), G, fuel=30)
         data = ser.certificate_to_json(C, cert)
-        back = ser.parse_certificate(C, data)
+        back = ser.parse_certificate(C, data, len(G.generators))
         assert back == cert
         assert back.replay(C, G)
 
