@@ -46,6 +46,10 @@ class CategoryInstance(ABC):
     morphisms hash alike, so searches may index them in sets and dicts.
     Objects are compared by identity of presentation.  Implementations
     must be immutable and safe for concurrent read-only use.
+
+    ``strictness`` must be a pure function of the morphism value, memoized
+    per instance (with ``_memoized``), so that all callers sharing an
+    instance classify each distinct map once.
     """
 
     name: str = "category"
@@ -113,6 +117,26 @@ class CategoryInstance(ABC):
     def strictness(self, f: Mor) -> Strictness:
         """Instance classification; the default derives it from (co)kernels."""
         return classify_strictness(self, f)
+
+    def _memoized(self, table: str, key, compute: Callable):
+        """compute(key), remembered in this instance's memo table ``table``.
+
+        The tables live as long as the instance.  They are not fields, so
+        they take no part in ``==``, hash or repr, and pickling (as for
+        ``--jobs`` pool workers) leaves them behind.  ``compute`` must be
+        pure: concurrent callers may both fill an entry, with equal values.
+        """
+        memo = self.__dict__.setdefault("_memo_tables", {}).setdefault(table, {})
+        try:
+            return memo[key]
+        except KeyError:
+            memo[key] = value = compute(key)
+            return value
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_memo_tables", None)
+        return state
 
     def describe_object(self, X: Obj) -> Any:
         return repr(X)
@@ -246,13 +270,8 @@ def has_rlp(
 
 def admissible_monos(C: CategoryInstance) -> list[Mor]:
     """All strict monomorphisms between enumerated objects."""
-    out = []
-    for A in C.objects():
-        for B in C.objects():
-            for g in C.morphisms(A, B):
-                if C.strictness(g).strict_mono:
-                    out.append(g)
-    return out
+    objs = C.objects()
+    return [g for A in objs for g in _maps(C, objs, "strict_mono", source=A)]
 
 
 def is_injective_object(C: CategoryInstance, I: Obj, budget: Optional[int] = None) -> RlpResult:
@@ -301,45 +320,19 @@ class AuditReport:
         }
 
 
-class _Classified:
-    """Morphism tables of an enumerable instance with memoized strictness."""
+def _maps(C, objects, flag: Optional[str] = None, *, into=None, source=None) -> list:
+    """Maps into ``into`` or out of ``source``, in object order.
 
-    def __init__(self, C: CategoryInstance):
-        self.C = C
-        self.objects = list(C.objects())
-        self._strict: dict = {}
-        self._homs: dict = {}
-
-    def homs(self, X, Y):
-        key = (X, Y)
-        if key not in self._homs:
-            self._homs[key] = tuple(self.C.morphisms(X, Y))
-        return self._homs[key]
-
-    def strictness(self, f) -> Strictness:
-        if f not in self._strict:
-            self._strict[f] = self.C.strictness(f)
-        return self._strict[f]
-
-    def monos_into(self, Z):
-        return [
-            f for X in self.objects for f in self.homs(X, Z) if self.strictness(f).strict_mono
-        ]
-
-    def epis_into(self, Z):
-        return [
-            f for X in self.objects for f in self.homs(X, Z) if self.strictness(f).strict_epi
-        ]
-
-    def monos_from(self, X):
-        return [
-            f for Z in self.objects for f in self.homs(X, Z) if self.strictness(f).strict_mono
-        ]
-
-    def epis_from(self, X):
-        return [
-            f for Z in self.objects for f in self.homs(X, Z) if self.strictness(f).strict_epi
-        ]
+    With ``flag`` ("strict_mono" or "strict_epi"), only the maps whose
+    strictness has that flag.
+    """
+    ends = [(X, into) if source is None else (source, X) for X in objects]
+    return [
+        f
+        for X, Y in ends
+        for f in C.morphisms(X, Y)
+        if flag is None or getattr(C.strictness(f), flag)
+    ]
 
 
 def _witness(C, **mors) -> dict:
@@ -370,18 +363,18 @@ def audit_axioms(
                 f"{C.name} is not enumerable; supply a diagram sampler"
             )
         return _audit_axioms_sampled(C, total, sampler, samples, seed)
-    t = _Classified(C)
+    objs = C.objects()
     counter = _Budget(budget)
     entries = [
-        _audit_identities(C, t, counter),
-        _audit_mono_composition(C, t, counter),
-        _audit_epi_composition(C, t, counter),
-        _audit_pullback_stability(C, t, counter, total=False, jobs=jobs),
-        _audit_pushout_stability(C, t, counter, total=False, jobs=jobs),
+        _audit_identities(C, objs, counter),
+        _audit_mono_composition(C, objs, counter),
+        _audit_epi_composition(C, objs, counter),
+        _audit_pullback_stability(C, objs, counter, total=False, jobs=jobs),
+        _audit_pushout_stability(C, objs, counter, total=False, jobs=jobs),
     ]
     if total:
-        entries.append(_audit_pullback_stability(C, t, counter, total=True, jobs=jobs))
-        entries.append(_audit_pushout_stability(C, t, counter, total=True, jobs=jobs))
+        entries.append(_audit_pullback_stability(C, objs, counter, total=True, jobs=jobs))
+        entries.append(_audit_pushout_stability(C, objs, counter, total=True, jobs=jobs))
     return AuditReport(C.name, _bounds_of(C, budget), tuple(entries))
 
 
@@ -490,10 +483,10 @@ def audit_obscure(
                 f"{C.name} is not enumerable; supply a diagram sampler"
             )
         return _audit_obscure_sampled(C, sampler, samples, seed)
-    t = _Classified(C)
+    objs = C.objects()
     counter = _Budget(budget)
-    left = _audit_obscure_left(C, t, counter)
-    right = _audit_obscure_right(C, t, counter)
+    left = _audit_obscure_left(C, objs, counter)
+    right = _audit_obscure_right(C, objs, counter)
     entries = (
         left,
         right,
@@ -550,10 +543,10 @@ def _bounds_of(C, budget) -> dict:
     return bounds
 
 
-def _audit_identities(C, t: _Classified, counter) -> AuditEntry:
-    for X in t.objects:
+def _audit_identities(C, objs: list, counter) -> AuditEntry:
+    for X in objs:
         counter.tick()
-        s = t.strictness(C.identity(X))
+        s = C.strictness(C.identity(X))
         if not (s.strict_mono and s.strict_epi):
             return AuditEntry(
                 "identity_admissible", "fail", {"object": C.describe_object(X)}
@@ -561,45 +554,38 @@ def _audit_identities(C, t: _Classified, counter) -> AuditEntry:
     return AuditEntry("identity_admissible", "pass")
 
 
-def _audit_mono_composition(C, t: _Classified, counter) -> AuditEntry:
-    for Y in t.objects:
-        incoming = [f for f in t.monos_into(Y)]
-        outgoing = [g for g in t.monos_from(Y)]
-        for f in incoming:
+def _audit_mono_composition(C, objs: list, counter) -> AuditEntry:
+    for Y in objs:
+        outgoing = _maps(C, objs, "strict_mono", source=Y)
+        for f in _maps(C, objs, "strict_mono", into=Y):
             for g in outgoing:
                 counter.tick()
-                if not t.strictness(C.compose(g, f)).strict_mono:
+                if not C.strictness(C.compose(g, f)).strict_mono:
                     return AuditEntry(
                         "mono_composition", "fail", _witness(C, first=f, second=g)
                     )
     return AuditEntry("mono_composition", "pass")
 
 
-def _audit_epi_composition(C, t: _Classified, counter) -> AuditEntry:
-    for Y in t.objects:
-        incoming = [f for f in t.epis_into(Y)]
-        outgoing = [g for g in t.epis_from(Y)]
-        for f in incoming:
+def _audit_epi_composition(C, objs: list, counter) -> AuditEntry:
+    for Y in objs:
+        outgoing = _maps(C, objs, "strict_epi", source=Y)
+        for f in _maps(C, objs, "strict_epi", into=Y):
             for g in outgoing:
                 counter.tick()
-                if not t.strictness(C.compose(g, f)).strict_epi:
+                if not C.strictness(C.compose(g, f)).strict_epi:
                     return AuditEntry(
                         "epi_composition", "fail", _witness(C, first=f, second=g)
                     )
     return AuditEntry("epi_composition", "pass")
 
 
-def _audit_pullback_stability(C, t: _Classified, counter, total: bool, jobs: int) -> AuditEntry:
+def _audit_pullback_stability(C, objs: list, counter, total: bool, jobs: int) -> AuditEntry:
     name = "epi_pullback_total" if total else "epi_pullback_along_mono"
     cases = []
-    for Z in t.objects:
-        epis = t.epis_into(Z)
-        others = (
-            [g for X in t.objects for g in t.homs(X, Z)]
-            if total
-            else t.monos_into(Z)
-        )
-        for e in epis:
+    for Z in objs:
+        others = _maps(C, objs, None if total else "strict_mono", into=Z)
+        for e in _maps(C, objs, "strict_epi", into=Z):
             for g in others:
                 cases.append((e, g))
     counter.tick(len(cases))
@@ -609,17 +595,12 @@ def _audit_pullback_stability(C, t: _Classified, counter, total: bool, jobs: int
     return AuditEntry(name, "pass")
 
 
-def _audit_pushout_stability(C, t: _Classified, counter, total: bool, jobs: int) -> AuditEntry:
+def _audit_pushout_stability(C, objs: list, counter, total: bool, jobs: int) -> AuditEntry:
     name = "mono_pushout_total" if total else "mono_pushout_along_epi"
     cases = []
-    for K in t.objects:
-        monos = [i for i in t.monos_from(K)]
-        others = (
-            [g for Y in t.objects for g in t.homs(K, Y)]
-            if total
-            else t.epis_from(K)
-        )
-        for i in monos:
+    for K in objs:
+        others = _maps(C, objs, None if total else "strict_epi", source=K)
+        for i in _maps(C, objs, "strict_mono", source=K):
             for g in others:
                 cases.append((i, g))
     counter.tick(len(cases))
@@ -629,33 +610,32 @@ def _audit_pushout_stability(C, t: _Classified, counter, total: bool, jobs: int)
     return AuditEntry(name, "pass")
 
 
-def _audit_obscure_left(C, t: _Classified, counter) -> AuditEntry:
-    for Y in t.objects:
-        for X in t.objects:
-            for i in t.homs(X, Y):
-                i_strict = t.strictness(i).strict_mono
-                if i_strict:
+def _audit_obscure_left(C, objs: list, counter) -> AuditEntry:
+    for Y in objs:
+        for X in objs:
+            for i in C.morphisms(X, Y):
+                if C.strictness(i).strict_mono:
                     continue
-                for Z in t.objects:
-                    for j in t.homs(Y, Z):
+                for Z in objs:
+                    for j in C.morphisms(Y, Z):
                         counter.tick()
-                        if t.strictness(C.compose(j, i)).strict_mono:
+                        if C.strictness(C.compose(j, i)).strict_mono:
                             return AuditEntry(
                                 "left_obscure", "fail", _witness(C, first=i, second=j)
                             )
     return AuditEntry("left_obscure", "pass")
 
 
-def _audit_obscure_right(C, t: _Classified, counter) -> AuditEntry:
-    for Y in t.objects:
-        for Z in t.objects:
-            for e in t.homs(Y, Z):
-                if t.strictness(e).strict_epi:
+def _audit_obscure_right(C, objs: list, counter) -> AuditEntry:
+    for Y in objs:
+        for Z in objs:
+            for e in C.morphisms(Y, Z):
+                if C.strictness(e).strict_epi:
                     continue
-                for X in t.objects:
-                    for j in t.homs(X, Y):
+                for X in objs:
+                    for j in C.morphisms(X, Y):
                         counter.tick()
-                        if t.strictness(C.compose(e, j)).strict_epi:
+                        if C.strictness(C.compose(e, j)).strict_epi:
                             return AuditEntry(
                                 "right_obscure", "fail", _witness(C, second=e, first=j)
                             )

@@ -352,24 +352,33 @@ def section(f: BoundedMap) -> Optional[BoundedMap]:
     return cand
 
 
-def classify_morphism(f: BoundedMap) -> MorphismClassification:
-    """Classification in the non-expanding category; exact in every entry.
+def strict_flags(f: BoundedMap) -> tuple[int, bool, bool]:
+    """Rank of f, and whether f is a strict mono and whether a strict epi.
 
     Strict epi: surjective with the induced map domain/kernel -> codomain an
     isometric isomorphism.  Strict mono: injective and an isometry onto the
-    image.  Split flags solve for a one-sided inverse of norm at most one.
+    image.  The rank comes along so that classify_morphism reuses it.
     """
     if operator_norm(f) > MAG_ONE:
         raise NotNonExpanding("classification applies to maps of operator norm <= 1")
-    F = f.domain.field
-    rk = linalg.rank(F, f.rows())
-    mono = rk == f.domain.dim
-    epi = rk == f.codomain.dim
-    strict_mono = mono and _isometric_onto_image(f)
+    rk = linalg.rank(f.domain.field, f.rows())
+    strict_mono = rk == f.domain.dim and _isometric_onto_image(f)
     strict_epi = False
-    if epi:
+    if rk == f.codomain.dim:
         comp = _quotient_comparison(f)
         strict_epi = comp is not None and is_iso_nonexpanding(comp)
+    return rk, strict_mono, strict_epi
+
+
+def classify_morphism(f: BoundedMap) -> MorphismClassification:
+    """Classification in the non-expanding category; exact in every entry.
+
+    The strict flags come from strict_flags.  Split flags solve for a
+    one-sided inverse of norm at most one.
+    """
+    rk, strict_mono, strict_epi = strict_flags(f)
+    mono = rk == f.domain.dim
+    epi = rk == f.codomain.dim
     iso = mono and epi and is_iso_nonexpanding(f)
     split_mono = mono and retraction(f) is not None
     split_epi = epi and section(f) is not None

@@ -77,8 +77,7 @@ class WeightedModuleCategory(CategoryInstance):
         return con.is_iso_nonexpanding(f)
 
     def strictness(self, f: BoundedMap) -> Strictness:
-        record = con.classify_morphism(f)
-        return Strictness(record.strict_mono, record.strict_epi)
+        return self._memoized("strictness", f, _strictness)
 
     def pullback(self, f, g):
         return con.pullback(f, g)
@@ -88,7 +87,7 @@ class WeightedModuleCategory(CategoryInstance):
 
     def solve_rlp(self, f, g):
         # strict monos split here, so the retraction fills every square over 0
-        if f.codomain.dim == 0 and con.classify_morphism(g).strict_mono:
+        if f.codomain.dim == 0 and self.strictness(g).strict_mono:
             return True, con.retraction(g) is not None
         return False, False
 
@@ -104,8 +103,9 @@ class WeightedModuleCategory(CategoryInstance):
         }
 
 
-_HOM_CACHE: dict = {}
-_VEC_CACHE: dict = {}
+def _strictness(f: BoundedMap) -> Strictness:
+    _, strict_mono, strict_epi = con.strict_flags(f)
+    return Strictness(strict_mono, strict_epi)
 
 
 @dataclass(frozen=True)
@@ -154,37 +154,33 @@ class FinWeightedVec(WeightedModuleCategory):
         return out
 
     def vectors(self, space: WeightedSpace) -> tuple[Vector, ...]:
-        key = space
-        if key not in _VEC_CACHE:
-            F = self.field
-            _VEC_CACHE[key] = tuple(
-                Vector(space, coords)
-                for coords in itertools.product(range(F.p), repeat=space.dim)
-            )
-        return _VEC_CACHE[key]
+        return self._memoized("vectors", space, self._all_vectors)
+
+    def _all_vectors(self, space: WeightedSpace) -> tuple[Vector, ...]:
+        return tuple(
+            Vector(space, coords)
+            for coords in itertools.product(range(self.field.p), repeat=space.dim)
+        )
 
     def morphisms(self, X: WeightedSpace, Y: WeightedSpace) -> tuple[BoundedMap, ...]:
-        candidates_per_column = []
-        for w in X.weights:
-            cols = [v for v in self.vectors(Y) if norm(v) <= w]
-            candidates_per_column.append(cols)
+        return self._memoized("homs", (X, Y), self._hom_set)
+
+    def _hom_set(self, ends) -> tuple[BoundedMap, ...]:
+        X, Y = ends
+        # the trivial absolute value makes norm(v) the largest weight in the
+        # support of v, so a column of weight w has p ** #{weights <= w} choices
         count = 1
-        for cols in candidates_per_column:
-            count *= len(cols)
+        for w in X.weights:
+            count *= self.field.p ** sum(1 for y in Y.weights if y <= w)
             if count > self.hom_budget:
                 raise BudgetExceeded(
                     f"hom-set of more than {self.hom_budget} maps requested"
                 )
-        key = (X, Y)
-        if key in _HOM_CACHE:
-            return _HOM_CACHE[key]
-        maps = []
-        for combo in itertools.product(*candidates_per_column):
-            rows = [[col.coords[i] for col in combo] for i in range(Y.dim)]
-            maps.append(bounded_map(X, Y, rows, check=False))
-        result = tuple(maps)
-        _HOM_CACHE[key] = result
-        return result
+        columns = [[v for v in self.vectors(Y) if norm(v) <= w] for w in X.weights]
+        return tuple(
+            bounded_map(X, Y, [[col.coords[i] for col in combo] for i in range(Y.dim)], check=False)
+            for combo in itertools.product(*columns)
+        )
 
     def brute_quotient_norm(self, sub_generators: list[Vector], m: Vector) -> Magnitude:
         """Literal minimum of the norm over the finite coset m + span(generators)."""

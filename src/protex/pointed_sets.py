@@ -82,6 +82,20 @@ def is_epi_map(f: PointedMap) -> bool:
     return set(f.images) == set(f.cod.elements)
 
 
+def _strictness(f: PointedMap) -> Strictness:
+    return Strictness(is_strict_mono_map(f), is_strict_epi_map(f))
+
+
+def _hom_set(ends: tuple[PointedSet, PointedSet]) -> tuple[PointedMap, ...]:
+    X, Y = ends
+    count = (Y.size + 1) ** X.size
+    if count > 1_000_000:
+        raise BudgetExceeded(f"{count} candidate maps exceed the enumeration cap")
+    return tuple(
+        PointedMap(X, Y, (0, *tail)) for tail in itertools.product(range(Y.size + 1), repeat=X.size)
+    )
+
+
 @dataclass(frozen=True)
 class _PSetPullback:
     instance: "FinPointedSet"
@@ -202,19 +216,13 @@ class FinPointedSet(CategoryInstance):
         return f.dom.size == f.cod.size and len(set(f.images)) == len(f.images)
 
     def strictness(self, f: PointedMap) -> Strictness:
-        return Strictness(is_strict_mono_map(f), is_strict_epi_map(f))
+        return self._memoized("strictness", f, _strictness)
 
     def objects(self) -> list[PointedSet]:
         return [PointedSet(n) for n in range(self.max_size + 1)]
 
     def morphisms(self, X: PointedSet, Y: PointedSet) -> tuple[PointedMap, ...]:
-        count = (Y.size + 1) ** X.size
-        if count > 1_000_000:
-            raise BudgetExceeded(f"{count} candidate maps exceed the enumeration cap")
-        return tuple(
-            PointedMap(X, Y, (0, *tail))
-            for tail in itertools.product(range(Y.size + 1), repeat=X.size)
-        )
+        return self._memoized("homs", (X, Y), _hom_set)
 
     def pullback(self, f: PointedMap, g: PointedMap) -> _PSetPullback:
         if f.cod != g.cod:

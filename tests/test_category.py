@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import proptools
 from protex import (
     MAG_ONE,
     Magnitude,
@@ -17,6 +19,7 @@ from protex import (
     bounded_map,
     classify_morphism,
     classify_strictness,
+    compose,
     has_rlp,
     identity_between,
     identity_map,
@@ -26,7 +29,8 @@ from protex import (
     zero_map,
 )
 from protex import FinPointedSet, FinWeightedVec
-from protex.category import admissible_monos
+from protex import constructions as con
+from protex.category import Strictness, admissible_monos
 from protex.errors import NotComposable, SolverUnavailable
 from protex.pointed_sets import PointedMap, PointedSet
 from protex.randgen import (
@@ -71,6 +75,7 @@ class TestClassifyStrictness:
             s = classify_strictness(CW, f)
             assert s.strict_mono == record.strict_mono
             assert s.strict_epi == record.strict_epi
+            assert CW.strictness(f) == s
 
     def test_agrees_with_native_on_finvec(self):
         C = FinWeightedVec(F2, (E0, E1), max_dim=2)
@@ -83,6 +88,41 @@ class TestClassifyStrictness:
                         record.strict_mono,
                         record.strict_epi,
                     )
+                    assert C.strictness(f) == s
+
+    def test_instance_strictness_matches_classification_on_random_maps(self):
+        # the maps the randomized law checkers draw, over Q_2 and Q_3
+        rng = random.Random(41)
+        for _ in range(60):
+            field = proptools.random_field(rng)
+            C = WeightedModuleCategory(field)
+            X = random_space(field, rng, 3, allow_null=True)
+            Y = random_space(field, rng, 3, allow_null=True)
+            for f in (
+                random_nonexpanding_map(X, Y, rng),
+                random_strict_mono(field, rng, max_dim=3, allow_null=True),
+                random_strict_epi(field, rng, max_dim=3, allow_null=True),
+            ):
+                record = classify_morphism(f)
+                expected = Strictness(record.strict_mono, record.strict_epi)
+                assert C.strictness(f) == expected
+                assert C.strictness(f) == expected  # answered by the memo
+
+
+class TestStrictnessMemo:
+    def test_strict_flags_run_once_per_distinct_map(self, monkeypatch):
+        runs = Counter()
+        strict_flags = con.strict_flags
+
+        def counted(f):
+            runs[f] += 1
+            return strict_flags(f)
+
+        monkeypatch.setattr(con, "strict_flags", counted)
+        C = FinWeightedVec(F2, (E0, E1), max_dim=2)
+        assert audit_axioms(C, total=True).passed
+        assert audit_obscure(C).passed
+        assert runs and max(runs.values()) == 1
 
 
 class TestValidateSes:
@@ -226,6 +266,30 @@ class TestRlp:
         C = FinWeightedVec(F2, (E0, E1), max_dim=1)
         for X in C.objects():
             assert is_injective_object(C, X).ok
+
+    def test_weighted_shortcut_decides_strict_mono_against_map_to_zero(self, monkeypatch):
+        def unused(f):
+            raise AssertionError("the shortcut reads the instance strictness")
+
+        monkeypatch.setattr(con, "classify_morphism", unused)
+        C = WeightedModuleCategory(Q2)
+        rng = random.Random(5)
+        for _ in range(20):
+            g = random_strict_mono(Q2, rng, max_dim=3, allow_null=True)
+            X = random_space(Q2, rng, 2, allow_null=True)
+            result = has_rlp(C, zero_map(X, C.zero_object()), [g])
+            assert (result.ok, result.squares_checked) == (True, 1)
+            # correct: a retraction r exists, so u o r fills every square over 0
+            r = con.retraction(g)
+            assert r is not None and compose(r, g) == identity_map(g.domain)
+
+    def test_weighted_shortcut_falls_through_for_non_strict_mono(self):
+        C = WeightedModuleCategory(Q2)
+        A, B = WeightedSpace(Q2, (E1,)), WeightedSpace(Q2, (E0,))
+        g = bounded_map(A, B, [[1]])  # injective, but shrinks the norm
+        assert not C.strictness(g).strict_mono
+        with pytest.raises(SolverUnavailable):
+            has_rlp(C, zero_map(B, C.zero_object()), [g])
 
     def test_weighted_instance_not_enumerable(self):
         X = WeightedSpace(Q2, (E0,))

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from protex import (
@@ -59,6 +61,39 @@ class TestEnumeration:
         X = WeightedSpace(F2, (E0, E0))
         with pytest.raises(BudgetExceeded):
             C.morphisms(X, X)
+
+    def test_budget_is_exact(self):
+        X = WeightedSpace(F2, (E1, E0))
+        assert len(FinWeightedVec(F2, (E0, E1), hom_budget=8).morphisms(X, X)) == 8
+        with pytest.raises(BudgetExceeded, match="hom-set of more than 7 maps requested"):
+            FinWeightedVec(F2, (E0, E1), hom_budget=7).morphisms(X, X)
+
+    def test_budget_checked_before_enumerating(self, monkeypatch):
+        def no_universe(self, space):
+            raise AssertionError("vectors built before the budget check")
+
+        monkeypatch.setattr(FinWeightedVec, "vectors", no_universe)
+        F = PrimeField(1_000_003)
+        C = FinWeightedVec(F, (E0,), max_dim=2, hom_budget=10)
+        X, Y = WeightedSpace(F, (E0,)), WeightedSpace(F, (E0, E0))
+        with pytest.raises(BudgetExceeded, match="hom-set of more than 10 maps requested"):
+            C.morphisms(X, Y)
+
+    def test_caches_are_per_instance(self):
+        first = FinWeightedVec(F2, (E0, E1), max_dim=2)
+        for X in first.objects():
+            for Y in first.objects():
+                first.morphisms(X, Y)
+        fresh = FinWeightedVec(F2, (E0, E1), max_dim=2)
+        assert vars(fresh).get("_memo_tables", {}) == {}
+        X = WeightedSpace(F2, (E1, E0))
+        homs = fresh.morphisms(X, X)
+        assert homs == first.morphisms(X, X) and homs is not first.morphisms(X, X)
+        assert fresh.morphisms(X, X) is homs
+        # the caches take no part in the instance's value, nor in pickles
+        assert fresh == first and hash(fresh) == hash(first) and repr(fresh) == repr(first)
+        shipped = pickle.loads(pickle.dumps(first))
+        assert shipped == first and "_memo_tables" not in vars(shipped)
 
 
 class TestBruteQuotient:
