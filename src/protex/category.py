@@ -50,6 +50,12 @@ class CategoryInstance(ABC):
     ``strictness`` must be a pure function of the morphism value, memoized
     per instance (with ``_memoized``), so that all callers sharing an
     instance classify each distinct map once.
+
+    ``is_mono(f)`` and ``is_epi(f)`` decide the plain notions: f is a mono
+    iff ``a -> f o a`` is injective on every Hom(W, dom f), and an epi iff
+    ``b -> b o f`` is injective on every Hom(cod f, W).  Every strict mono
+    must be a mono and every strict epi an epi: the obscure audits rely on
+    this "strict implies plain" to skip the factors that cannot fail.
     """
 
     name: str = "category"
@@ -88,6 +94,12 @@ class CategoryInstance(ABC):
 
     @abstractmethod
     def is_iso(self, f: Mor) -> bool: ...
+
+    @abstractmethod
+    def is_mono(self, f: Mor) -> bool: ...
+
+    @abstractmethod
+    def is_epi(self, f: Mor) -> bool: ...
 
     def is_zero_morphism(self, f: Mor) -> bool:
         return f == self.zero_morphism(self.dom(f), self.cod(f))
@@ -476,6 +488,10 @@ def audit_obscure(
     the plain and strong variants coincide; the scan is shared and the
     verdicts are reported under both names.  Non-enumerable instances are
     sampled through the supplied diagram sampler.
+
+    A first factor that is not a mono (a second factor that is not an
+    epi) cannot fail, since j o i mono forces i mono (e o j epi forces e
+    epi); its pairs are counted against the budget but not composed.
     """
     if not C.enumerable:
         if sampler is None:
@@ -616,6 +632,10 @@ def _audit_obscure_left(C, objs: list, counter) -> AuditEntry:
             for i in C.morphisms(X, Y):
                 if C.strictness(i).strict_mono:
                     continue
+                if not C.is_mono(i):
+                    # j o i is then no mono, so no strict mono: count, don't compose
+                    _tick_homs(counter, C, [(Y, Z) for Z in objs])
+                    continue
                 for Z in objs:
                     for j in C.morphisms(Y, Z):
                         counter.tick()
@@ -632,6 +652,10 @@ def _audit_obscure_right(C, objs: list, counter) -> AuditEntry:
             for e in C.morphisms(Y, Z):
                 if C.strictness(e).strict_epi:
                     continue
+                if not C.is_epi(e):
+                    # e o j is then no epi, so no strict epi: count, don't compose
+                    _tick_homs(counter, C, [(X, Y) for X in objs])
+                    continue
                 for X in objs:
                     for j in C.morphisms(X, Y):
                         counter.tick()
@@ -640,6 +664,16 @@ def _audit_obscure_right(C, objs: list, counter) -> AuditEntry:
                                 "right_obscure", "fail", _witness(C, second=e, first=j)
                             )
     return AuditEntry("right_obscure", "pass")
+
+
+def _tick_homs(counter, C, ends: list) -> None:
+    """Charge one tick per map of each hom-set, in order, as the full scan would.
+
+    Each hom-set is enumerated before its ticks, so a hom-set cap error
+    and the audit budget fire where they would in the unskipped scan.
+    """
+    for X, Y in ends:
+        counter.tick(len(C.morphisms(X, Y)))
 
 
 def _pullback_case(C, case):

@@ -57,6 +57,17 @@ EXIT_BAD_INPUT = 2
 EXIT_EXHAUSTED = 3
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value (fuel, budgets)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protex",
@@ -105,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", dest="instance_path", required=True)
     p.add_argument("--no-total", action="store_true", help="skip the totality audits")
     p.add_argument("--obscure", action="store_true", help="also run the obscure audits")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     common(p)
 
     p = sub.add_parser("counterexamples", help="replay the pointed-set counterexamples")
@@ -117,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", dest="object_path", help="object for preenvelope/precover")
     p.add_argument("--map", dest="map_path", help="map to factor in mode=map")
     p.add_argument("--generators", dest="generators_path", help="JSON list of morphisms")
-    p.add_argument("--fuel", type=int, default=100)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--fuel", type=_count, default=100)
+    p.add_argument("--budget", type=_count, default=None)
     common(p)
 
     p = sub.add_parser("verify-cert", help="replay a factorization certificate")
@@ -430,8 +441,12 @@ def main(argv=None) -> int:
     report = ser.make_report(args.command, _options_of(args), result)
     payload = ser.dump_report(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     if args.format == "json":
         sys.stdout.write(payload)
     else:

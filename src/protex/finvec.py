@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import constructions as con
+from . import linalg
 from .category import CategoryInstance, Strictness
 from .errors import BudgetExceeded, InvariantViolation, SolverUnavailable
 from .scalars import MAG_ZERO, Magnitude, PrimeField, ValuedField, format_magnitude
@@ -75,6 +76,12 @@ class WeightedModuleCategory(CategoryInstance):
 
     def is_iso(self, f: BoundedMap) -> bool:
         return con.is_iso_nonexpanding(f)
+
+    def is_mono(self, f: BoundedMap) -> bool:
+        return linalg.rank(f.domain.field, f.rows()) == f.domain.dim
+
+    def is_epi(self, f: BoundedMap) -> bool:
+        return linalg.rank(f.domain.field, f.rows()) == f.codomain.dim
 
     def strictness(self, f: BoundedMap) -> Strictness:
         return self._memoized("strictness", f, _strictness)

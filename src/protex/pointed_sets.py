@@ -215,6 +215,12 @@ class FinPointedSet(CategoryInstance):
     def is_iso(self, f: PointedMap) -> bool:
         return f.dom.size == f.cod.size and len(set(f.images)) == len(f.images)
 
+    def is_mono(self, f: PointedMap) -> bool:
+        return is_strict_mono_map(f)  # injective; every mono here is strict
+
+    def is_epi(self, f: PointedMap) -> bool:
+        return is_epi_map(f)
+
     def strictness(self, f: PointedMap) -> Strictness:
         return self._memoized("strictness", f, _strictness)
 

@@ -398,5 +398,9 @@ def load_json_file(path: str) -> Any:
             return json.load(handle)
     except FileNotFoundError as exc:
         raise ParseError(path, "file not found") from exc
+    except OSError as exc:
+        raise ParseError(path, f"cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from exc

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from protex.cli import main
 
@@ -300,6 +302,135 @@ class TestFactorInputValidation:
         assert code == 2
         assert message in err
         assert "admissible mono" not in out
+
+
+class TestExitContract:
+    """Bad input exits 2, whatever form it takes; exhaustion exits 3."""
+
+    def test_directory_as_input_exits_2(self, tmp_path, capsys):
+        for argv in (
+            ["audit", "--instance", str(tmp_path)],
+            ["factor", "--instance", str(tmp_path)],
+            ["classify", "--map", str(tmp_path)],
+        ):
+            code, _, err = run_main(argv, capsys)
+            assert code == 2, argv
+            assert "cannot read" in err
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, _, err = run_main(["audit", "--instance", str(path)], capsys)
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 1})
+        code, _, err = run_main(["audit", "--instance", inst, "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert "cannot write" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--budget", "-1"],
+            ["factor", "--budget", "-1"],
+            ["factor", "--fuel", "-1"],
+        ],
+    )
+    def test_negative_counts_rejected_at_parsing(self, tmp_path, capsys, argv):
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 1})
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--instance", inst, *argv[1:]])
+        assert exc.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
+
+    def test_zero_budget_is_accepted(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 1})
+        code, _, err = run_main(["audit", "--instance", inst, "--budget", "0"], capsys)
+        assert code == 3
+        assert "audit budget 0 exceeded" in err
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=1),
+)
+
+
+def _weighted(*choices):
+    """Draw from the strategies in proportion to their weights."""
+    return st.sampled_from([strat for w, strat in choices for _ in range(w)]).flatmap(lambda x: x)
+
+
+_MAGNITUDES = st.sampled_from(["g^0", "g^1", "g^-1", "g^1/2", "0", "g^x", "", "1/2"]) | _JUNK
+_SMALL_INSTANCES = st.sampled_from(
+    [
+        {"kind": "pointed", "max_size": 2},
+        {"kind": "finvec", "p": 2, "weights": ["g^0", "g^1"], "max_dim": 1},
+        {"kind": "finvec", "p": 3, "weights": ["0", "g^1/2"], "max_dim": 1},
+        {"kind": "weighted", "field": {"padic": 2}},
+    ]
+)
+_BOUNDS = ("max_dim", "max_size")
+
+
+@st.composite
+def _malformed_instances(draw):
+    """A small valid instance with up to two fields dropped or replaced.
+
+    The size bounds are replaced by small values only, never dropped (their
+    defaults are large), so no example builds a large universe.
+    """
+    inst = dict(draw(_SMALL_INSTANCES))
+    keys = st.sampled_from(sorted(inst) + ["extra"])
+    for key in draw(st.lists(keys, max_size=2, unique=True)):
+        if key in _BOUNDS:
+            inst[key] = draw(st.integers(-3, 1) | _JUNK)
+        elif draw(st.booleans()):
+            inst.pop(key, None)
+        else:
+            primes = st.sampled_from([2, 3, 4, 0, -3])
+            inst[key] = draw(primes | st.lists(_MAGNITUDES, max_size=2) | _JUNK)
+    return inst
+
+
+_OBJECTS = _weighted(
+    (3, st.sampled_from([{"size": 1}, space_json(["g^0"], field={"trivial": "F2"})])), (1, _JUNK)
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    instance=_weighted((4, _malformed_instances()), (1, _JUNK), (1, st.binary(max_size=12))),
+    obj=_OBJECTS,
+    command=st.sampled_from(["audit", "factor"]),
+    budget=st.none() | st.integers(0, 300),
+)
+def test_malformed_instances_keep_the_exit_contract(tmp_path, capsys, instance, obj, command, budget):
+    inst = tmp_path / "inst.json"
+    if isinstance(instance, bytes):
+        inst.write_bytes(instance)
+    else:
+        inst.write_text(json.dumps(instance))
+    argv = [command, "--instance", str(inst)]
+    if command == "audit":
+        argv.append("--obscure")
+    else:
+        argv += ["--object", write(tmp_path, "x.json", obj)]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    code, _, _ = run_main(argv, capsys)
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3)
 
 
 class TestDeterminism:

@@ -1,7 +1,10 @@
+import itertools
 import pickle
 
 import pytest
 
+from protex import constructions as con
+from protex import ortho
 from protex import (
     MAG_ONE,
     MAG_ZERO,
@@ -129,3 +132,50 @@ class TestSemiNormedInstance:
                     record = classify_morphism(f)  # must not raise
                     if record.iso:
                         assert record.strict_mono and record.strict_epi
+
+
+def definitional_strictness(f):
+    """Strict flags of f straight from the definitions, over the finite vector sets.
+
+    Strict mono: injective and norm-preserving.  Strict epi: surjective, and
+    every y has a preimage of norm norm(y) (the minimum over preimages is
+    the quotient norm).  Iso: bijective and norm-preserving.  Only map
+    application and ``norm`` are used.
+    """
+    p = f.domain.field.p
+    best = {}  # image -> least preimage norm
+    isometric = True
+    for coords in itertools.product(range(p), repeat=f.domain.dim):
+        v = vector(f.domain, coords)
+        y = f.apply(v)
+        isometric = isometric and norm(y) == norm(v)
+        if y not in best or norm(v) < best[y]:
+            best[y] = norm(v)
+    injective = len(best) == p ** f.domain.dim
+    surjective = len(best) == p ** f.codomain.dim
+    strict_mono = injective and isometric
+    strict_epi = surjective and all(n == norm(y) for y, n in best.items())
+    return strict_mono, strict_epi, strict_mono and surjective
+
+
+class TestDefinitionalStrictness:
+    @pytest.mark.parametrize(
+        "p, weights",
+        [(2, (E0, E1, E2)), (3, (E0, E1)), (2, (E0, MAG_ZERO))],
+    )
+    def test_strictness_matches_brute_force(self, monkeypatch, p, weights):
+        C = FinWeightedVec(PrimeField(p), weights, max_dim=2)
+        maps = [f for X in C.objects() for Y in C.objects() for f in C.morphisms(X, Y)]
+        with monkeypatch.context() as m:
+            # the oracle must be independent of the (co)kernel machinery
+            for name in ("kernel", "cokernel", "orthogonalize"):
+                m.setattr(con, name, _forbidden)
+            m.setattr(ortho, "orthogonalize", _forbidden)
+            expected = [definitional_strictness(f) for f in maps]
+        got = [(C.strictness(f).strict_mono, C.strictness(f).strict_epi, C.is_iso(f)) for f in maps]
+        assert got == expected
+        assert len({flags[:2] for flags in expected}) == 4  # every strictness combination occurs
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the definitional oracle used the algorithmic machinery")
