@@ -12,9 +12,9 @@ witnesses.
 
 from __future__ import annotations
 
-import random
+import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .errors import BudgetExceeded, NotComposable, SolverUnavailable
@@ -105,10 +105,6 @@ class CategoryInstance(ABC):
         return f == self.zero_morphism(self.dom(f), self.cod(f))
 
     # enumeration; only the finite instances provide these
-    @property
-    def enumerable(self) -> bool:
-        return False
-
     def objects(self) -> list[Obj]:
         raise SolverUnavailable(f"{self.name} cannot enumerate objects")
 
@@ -300,7 +296,7 @@ def is_injective_object(C: CategoryInstance, I: Obj, budget: Optional[int] = Non
 @dataclass(frozen=True)
 class AuditEntry:
     axiom: str
-    verdict: str  # "pass" | "pass (sampled)" | "fail" | "skipped"
+    verdict: str  # "pass" | "fail"; a failure carries a witness
     witness: Optional[dict] = None
 
     def as_dict(self) -> dict:
@@ -315,7 +311,7 @@ class AuditReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.verdict.startswith("pass") for e in self.entries)
+        return all(e.verdict == "pass" for e in self.entries)
 
     def entry(self, axiom: str) -> AuditEntry:
         for e in self.entries:
@@ -356,31 +352,22 @@ def audit_axioms(
     total: bool = True,
     budget: Optional[int] = None,
     jobs: int = 1,
-    sampler=None,
-    samples: int = 1000,
-    seed: int = 0,
 ) -> AuditReport:
-    """Audit of the proto-exact axioms for the canonical strict class.
+    """Exhaustive audit of the proto-exact axioms for the canonical strict class.
 
     Checks identity admissibility, closure of the admissible classes under
     composition, stability of admissible epis under pullback along
     admissible monos (along all morphisms when ``total``), and dually for
-    pushouts.  Enumerable instances are audited exhaustively; otherwise a
-    diagram sampler must be supplied and verdicts read "pass (sampled)".
-    Every failure carries a replayable witness.
+    pushouts.  The instance must enumerate its objects and hom-sets
+    (others raise ``SolverUnavailable``).  Every failure carries a
+    replayable witness.
     """
-    if not C.enumerable:
-        if sampler is None:
-            raise SolverUnavailable(
-                f"{C.name} is not enumerable; supply a diagram sampler"
-            )
-        return _audit_axioms_sampled(C, total, sampler, samples, seed)
     objs = C.objects()
     counter = _Budget(budget)
     entries = [
         _audit_identities(C, objs, counter),
-        _audit_mono_composition(C, objs, counter),
-        _audit_epi_composition(C, objs, counter),
+        _audit_composition(C, objs, counter, "mono_composition", "strict_mono"),
+        _audit_composition(C, objs, counter, "epi_composition", "strict_epi"),
         _audit_pullback_stability(C, objs, counter, total=False, jobs=jobs),
         _audit_pushout_stability(C, objs, counter, total=False, jobs=jobs),
     ]
@@ -390,115 +377,18 @@ def audit_axioms(
     return AuditReport(C.name, _bounds_of(C, budget), tuple(entries))
 
 
-def _audit_axioms_sampled(C, total, sampler, samples, seed) -> AuditReport:
-    entries = []
-
-    def sweep(name, draw, check):
-        rng = random.Random(f"{seed}:{name}")
-        for _ in range(samples):
-            drawn = draw(rng)
-            bad = check(drawn)
-            if bad is not None:
-                return AuditEntry(name, "fail", bad)
-        return AuditEntry(name, "pass (sampled)")
-
-    entries.append(
-        sweep(
-            "identity_admissible",
-            sampler.object,
-            lambda X: None
-            if (lambda s: s.strict_mono and s.strict_epi)(C.strictness(C.identity(X)))
-            else {"object": C.describe_object(X)},
-        )
-    )
-    entries.append(
-        sweep(
-            "mono_composition",
-            sampler.mono_pair,
-            lambda pair: None
-            if C.strictness(C.compose(pair[1], pair[0])).strict_mono
-            else _witness(C, first=pair[0], second=pair[1]),
-        )
-    )
-    entries.append(
-        sweep(
-            "epi_composition",
-            sampler.epi_pair,
-            lambda pair: None
-            if C.strictness(C.compose(pair[1], pair[0])).strict_epi
-            else _witness(C, first=pair[0], second=pair[1]),
-        )
-    )
-
-    def pullback_check(case):
-        return None if _pullback_case(C, case) is None else _witness(
-            C, epi=case[0], along=case[1]
-        )
-
-    def pushout_check(case):
-        return None if _pushout_case(C, case) is None else _witness(
-            C, mono=case[0], along=case[1]
-        )
-
-    entries.append(
-        sweep(
-            "epi_pullback_along_mono",
-            lambda rng: sampler.pullback_case(rng, total=False),
-            pullback_check,
-        )
-    )
-    entries.append(
-        sweep(
-            "mono_pushout_along_epi",
-            lambda rng: sampler.pushout_case(rng, total=False),
-            pushout_check,
-        )
-    )
-    if total:
-        entries.append(
-            sweep(
-                "epi_pullback_total",
-                lambda rng: sampler.pullback_case(rng, total=True),
-                pullback_check,
-            )
-        )
-        entries.append(
-            sweep(
-                "mono_pushout_total",
-                lambda rng: sampler.pushout_case(rng, total=True),
-                pushout_check,
-            )
-        )
-    bounds = _bounds_of(C, None)
-    bounds.update({"samples": samples, "seed": seed})
-    return AuditReport(C.name, bounds, tuple(entries))
-
-
-def audit_obscure(
-    C: CategoryInstance,
-    budget: Optional[int] = None,
-    jobs: int = 1,
-    sampler=None,
-    samples: int = 1000,
-    seed: int = 0,
-) -> AuditReport:
-    """Audit of the left/right obscure axioms and their strong variants.
+def audit_obscure(C: CategoryInstance, budget: Optional[int] = None) -> AuditReport:
+    """Exhaustive audit of the left/right obscure axioms and their strong variants.
 
     The instances shipped here are finitely complete and cocomplete, so
     the plain and strong variants coincide; the scan is shared and the
-    verdicts are reported under both names.  Non-enumerable instances are
-    sampled through the supplied diagram sampler.
+    verdicts are reported under both names.  The instance must enumerate
+    its objects and hom-sets (others raise ``SolverUnavailable``).
 
     A first factor that is not a mono (a second factor that is not an
     epi) cannot fail, since j o i mono forces i mono (e o j epi forces e
     epi); its pairs are counted against the budget but not composed.
     """
-    if not C.enumerable:
-        if sampler is None:
-            raise SolverUnavailable(
-                f"{C.name} is not enumerable; supply a diagram sampler"
-            )
-        return _audit_obscure_sampled(C, sampler, samples, seed)
     objs = C.objects()
     counter = _Budget(budget)
     left = _audit_obscure_left(C, objs, counter)
@@ -510,34 +400,6 @@ def audit_obscure(
         AuditEntry("strong_right_obscure", right.verdict, right.witness),
     )
     return AuditReport(C.name, _bounds_of(C, budget), entries)
-
-
-def _audit_obscure_sampled(C, sampler, samples, seed) -> AuditReport:
-    rng = random.Random(f"{seed}:obscure")
-    left_witness = None
-    right_witness = None
-    for _ in range(samples):
-        i, j = sampler.composable_pair(rng)
-        s_ji = C.strictness(C.compose(j, i))
-        if left_witness is None and s_ji.strict_mono and not C.strictness(i).strict_mono:
-            left_witness = _witness(C, first=i, second=j)
-        if right_witness is None and s_ji.strict_epi and not C.strictness(j).strict_epi:
-            right_witness = _witness(C, first=i, second=j)
-    left = AuditEntry(
-        "left_obscure", "fail" if left_witness else "pass (sampled)", left_witness
-    )
-    right = AuditEntry(
-        "right_obscure", "fail" if right_witness else "pass (sampled)", right_witness
-    )
-    entries = (
-        left,
-        right,
-        AuditEntry("strong_left_obscure", left.verdict, left.witness),
-        AuditEntry("strong_right_obscure", right.verdict, right.witness),
-    )
-    bounds = _bounds_of(C, None)
-    bounds.update({"samples": samples, "seed": seed})
-    return AuditReport(C.name, bounds, entries)
 
 
 class _Budget:
@@ -570,30 +432,16 @@ def _audit_identities(C, objs: list, counter) -> AuditEntry:
     return AuditEntry("identity_admissible", "pass")
 
 
-def _audit_mono_composition(C, objs: list, counter) -> AuditEntry:
+def _audit_composition(C, objs: list, counter, name: str, flag: str) -> AuditEntry:
+    """Closure under composition of the maps whose strictness has ``flag``."""
     for Y in objs:
-        outgoing = _maps(C, objs, "strict_mono", source=Y)
-        for f in _maps(C, objs, "strict_mono", into=Y):
+        outgoing = _maps(C, objs, flag, source=Y)
+        for f in _maps(C, objs, flag, into=Y):
             for g in outgoing:
                 counter.tick()
-                if not C.strictness(C.compose(g, f)).strict_mono:
-                    return AuditEntry(
-                        "mono_composition", "fail", _witness(C, first=f, second=g)
-                    )
-    return AuditEntry("mono_composition", "pass")
-
-
-def _audit_epi_composition(C, objs: list, counter) -> AuditEntry:
-    for Y in objs:
-        outgoing = _maps(C, objs, "strict_epi", source=Y)
-        for f in _maps(C, objs, "strict_epi", into=Y):
-            for g in outgoing:
-                counter.tick()
-                if not C.strictness(C.compose(g, f)).strict_epi:
-                    return AuditEntry(
-                        "epi_composition", "fail", _witness(C, first=f, second=g)
-                    )
-    return AuditEntry("epi_composition", "pass")
+                if not getattr(C.strictness(C.compose(g, f)), flag):
+                    return AuditEntry(name, "fail", _witness(C, first=f, second=g))
+    return AuditEntry(name, "pass")
 
 
 def _audit_pullback_stability(C, objs: list, counter, total: bool, jobs: int) -> AuditEntry:
@@ -693,13 +541,17 @@ def _pushout_case(C, case):
 
 
 def _map_cases(fn: Callable, C, cases: list, jobs: int):
-    """Run fn(C, case) over cases, optionally in a process pool; order preserved."""
+    """Run fn(C, case) over cases, optionally in a process pool; order preserved.
+
+    The pool has at most ``os.cpu_count()`` workers, whatever ``jobs`` asks.
+    """
     if jobs <= 1 or len(cases) < 64:
         return (fn(C, case) for case in cases)
     from concurrent.futures import ProcessPoolExecutor
     from functools import partial
 
-    chunk = max(8, len(cases) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, os.cpu_count() or 1)
+    chunk = max(8, len(cases) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         results = list(ex.map(partial(fn, C), cases, chunksize=chunk))
     return iter(results)

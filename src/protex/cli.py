@@ -57,15 +57,21 @@ EXIT_BAD_INPUT = 2
 EXIT_EXHAUSTED = 3
 
 
-def _count(text: str) -> int:
-    """A non-negative integer option value (fuel, budgets)."""
+def _count(text: str, least: int = 0) -> int:
+    """An integer option value of at least ``least``: 0 for fuel, budgets and trials."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value < least:
+        bound = f"at least {least}" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    """A positive integer option value (worker counts)."""
+    return _count(text, least=1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="what to print on standard output",
         )
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--jobs", type=int, default=1, help="parallelism cap for audits")
+        p.add_argument("--jobs", type=_positive, default=1, help="parallelism cap for audits")
 
     p = sub.add_parser("compute", help="run one construction and print its presentation")
     p.add_argument(
@@ -139,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("oracle-check", help="brute-force versus algorithmic comparisons")
-    p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--max-dim", type=_count, default=2)
+    p.add_argument("--trials", type=_count, default=200)
     common(p)
 
     return parser
@@ -245,12 +251,12 @@ def _cmd_audit(args):
     report = audit_axioms(C, total=not args.no_total, budget=args.budget, jobs=args.jobs)
     reports = [report]
     if args.obscure:
-        reports.append(audit_obscure(C, budget=args.budget, jobs=args.jobs))
+        reports.append(audit_obscure(C, budget=args.budget))
     entries = [e for r in reports for e in r.entries]
     result = {
         "instance": ser.instance_to_json(C),
         "bounds": report.bounds,
-        "passed": all(e.verdict.startswith("pass") for e in entries),
+        "passed": all(r.passed for r in reports),
         "entries": [e.as_dict() for e in entries],
     }
     lines = [f"{e.axiom}: {e.verdict}" for e in entries]

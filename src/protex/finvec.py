@@ -135,10 +135,6 @@ class FinWeightedVec(WeightedModuleCategory):
 
     name = "finite-weighted-vec"
 
-    @property
-    def enumerable(self) -> bool:
-        return True
-
     def solve_rlp(self, f, g):
         # hom-sets are finite; lifting problems are answered by enumeration
         return False, False

@@ -102,15 +102,6 @@ class OrthoBasis:
                 coords[i] = F.sub(coords[i], F.mul(factor, c))
         return Vector(self.ambient, tuple(coords))
 
-    def coefficients(self, m: Vector):
-        """Coordinates of ``m`` in this basis, or None if m is not in the span."""
-        F = self.ambient.field
-        if not self.residual(m).is_zero:
-            return None
-        rows = self.vectors + self.null_vectors
-        piv = self.pivots + self.null_pivots
-        return tuple(F.div(m.coords[p], v.coords[p]) for v, p in zip(rows, piv))
-
     def contains(self, m: Vector) -> bool:
         return self.residual(m).is_zero
 

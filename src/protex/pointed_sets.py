@@ -150,10 +150,6 @@ class FinPointedSet(CategoryInstance):
 
     name = "finite-pointed-sets"
 
-    @property
-    def enumerable(self) -> bool:
-        return True
-
     def bounds_descriptor(self) -> dict:
         return {"kind": "pointed", "max_size": self.max_size}
 

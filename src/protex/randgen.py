@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-from .constructions import cokernel, kernel
+from .constructions import cokernel
 from .ortho import orthogonalize
 from .scalars import MAG_ONE, MAG_ZERO, Magnitude, PAdicRationals, ValuedField
 from .spaces import (
@@ -127,73 +127,6 @@ def random_strict_epi(
     ob = orthogonalize(ambient, [random_vector(ambient, rng) for _ in range(count)])
     _, proj = cokernel(ob.inclusion())
     return proj
-
-
-class WeightedDiagramSampler:
-    """Random diagrams over a fixed field for sampled axiom audits.
-
-    Supplies the shapes the audits consume: objects, composable pairs of
-    admissible monos/epis, cospans with an admissible epi leg, and spans
-    with an admissible mono leg.
-    """
-
-    def __init__(self, field: ValuedField, max_dim: int = 3, allow_null: bool = True):
-        self.field = field
-        self.max_dim = max_dim
-        self.allow_null = allow_null
-
-    def object(self, rng: random.Random) -> WeightedSpace:
-        return random_space(self.field, rng, self.max_dim, self.allow_null)
-
-    def strict_mono(self, rng: random.Random) -> BoundedMap:
-        return random_strict_mono(self.field, rng, self.max_dim, self.allow_null)
-
-    def strict_epi(self, rng: random.Random) -> BoundedMap:
-        return random_strict_epi(self.field, rng, self.max_dim, self.allow_null)
-
-    def mono_pair(self, rng: random.Random):
-        from .spaces import biproduct, compose
-
-        i = self.strict_mono(rng)
-        W = random_space(self.field, rng, 2, self.allow_null)
-        bp = biproduct([i.codomain, W])
-        j = compose(random_isometric_auto(bp.space, rng), bp.injections[0])
-        return i, j
-
-    def epi_pair(self, rng: random.Random):
-        f = self.strict_epi(rng)
-        N = f.codomain
-        gens = [random_vector(N, rng) for _ in range(rng.randint(0, N.dim))]
-        _, g = cokernel(orthogonalize(N, gens).inclusion())
-        return f, g
-
-    def pullback_case(self, rng: random.Random, total: bool):
-        e = self.strict_epi(rng)
-        Z = e.codomain
-        if total:
-            L = random_space(self.field, rng, self.max_dim, self.allow_null)
-            return e, random_nonexpanding_map(L, Z, rng)
-        gens = [random_vector(Z, rng) for _ in range(rng.randint(0, Z.dim))]
-        return e, orthogonalize(Z, gens).inclusion()
-
-    def pushout_case(self, rng: random.Random, total: bool):
-        i = self.strict_mono(rng)
-        K = i.domain
-        if total:
-            L = random_space(self.field, rng, self.max_dim, self.allow_null)
-            return i, random_nonexpanding_map(K, L, rng)
-        gens = [random_vector(K, rng) for _ in range(rng.randint(0, K.dim))]
-        _, proj = cokernel(orthogonalize(K, gens).inclusion())
-        return i, proj
-
-    def composable_pair(self, rng: random.Random):
-        X = self.object(rng)
-        Y = self.object(rng)
-        Z = self.object(rng)
-        return (
-            random_nonexpanding_map(X, Y, rng),
-            random_nonexpanding_map(Y, Z, rng),
-        )
 
 
 def random_isometric_auto(space: WeightedSpace, rng: random.Random) -> BoundedMap:

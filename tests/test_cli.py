@@ -336,14 +336,62 @@ class TestExitContract:
             ["audit", "--budget", "-1"],
             ["factor", "--budget", "-1"],
             ["factor", "--fuel", "-1"],
+            ["oracle-check", "--trials", "-5"],
+            ["oracle-check", "--max-dim", "-1"],
         ],
     )
     def test_negative_counts_rejected_at_parsing(self, tmp_path, capsys, argv):
         inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 1})
+        instance = [] if argv[0] == "oracle-check" else ["--instance", inst]
         with pytest.raises(SystemExit) as exc:
-            main([argv[0], "--instance", inst, *argv[1:]])
+            main([argv[0], *instance, *argv[1:]])
         assert exc.value.code == 2
         assert "must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected_at_parsing(self, tmp_path, capsys, jobs):
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 1})
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--instance", inst, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_jobs_pool_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
+        # a stand-in pool records its size and runs the cases in this process
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cases, chunksize=1):
+                return map(fn, cases)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        # 160 along-mono cases per square audit: enough to reach the pool
+        inst = write(tmp_path, "inst.json", dict(FINVEC_INSTANCE, max_dim=2))
+        argv = ["audit", "--instance", inst, "--no-total"]
+        code, out, _ = run_main([*argv, "--jobs", "100000"], capsys)
+        assert code == 0
+        assert sizes == [3, 3]
+        assert run_main(argv, capsys)[1] == out
+
+    @pytest.mark.parametrize("extra", [[], ["--obscure"]])
+    def test_non_enumerable_audit_exits_2(self, tmp_path, capsys, extra):
+        inst = write(tmp_path, "inst.json", {"kind": "weighted", "field": {"padic": 2}})
+        code, _, err = run_main(["audit", "--instance", inst, *extra], capsys)
+        assert code == 2
+        assert "cannot enumerate objects" in err
 
     def test_zero_budget_is_accepted(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 1})
