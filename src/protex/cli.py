@@ -38,7 +38,6 @@ from .errors import (
     NotNonExpanding,
     NotSpanning,
     ParseError,
-    ProtexError,
     SolverUnavailable,
     UnboundedError,
 )
@@ -48,7 +47,7 @@ from .ortho import orthogonalize, quotient_norm
 from .pointed_sets import FinPointedSet, counterexample_suite, is_strict_epi_map, is_strict_mono_map
 from .randgen import random_bounded_map, random_space, random_vector
 from .scalars import MAG_ONE, Magnitude, PAdicRationals, PrimeField, format_magnitude
-from .spaces import bounded_map, norm, operator_norm, rescale
+from .spaces import bounded_map, operator_norm, rescale
 
 DEFAULT_SEED = 20240801
 

@@ -5,12 +5,18 @@ matrix nullspace; cokernels are presented on the coordinates complementary
 to the pivots of the image, where the residual representative realizes the
 quotient norm exactly.  Both squares come with mediating-map solvers, so
 universal properties are decidable facts rather than conventions.
+
+Classification reads one analysis per map: a single elimination gives the
+rank, the kernel and the preimages that the strict-epi test and the
+section share, and one image basis with its coordinate change serves the
+strict-mono test and the retraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 from . import linalg
 from .errors import (
@@ -19,8 +25,8 @@ from .errors import (
     NotNonExpanding,
     NotSpanning,
 )
-from .ortho import OrthoBasis, image, orthogonalize, quotient_norm
-from .scalars import MAG_ONE, MAG_ZERO, Magnitude
+from .ortho import OrthoBasis, image, orthogonalize
+from .scalars import MAG_ONE, Magnitude
 from .spaces import (
     Biproduct,
     BoundedMap,
@@ -41,12 +47,28 @@ from .spaces import (
 
 def kernel(f: BoundedMap) -> tuple[WeightedSpace, BoundedMap]:
     """Nullspace with the subspace norm; the inclusion is a strict mono."""
-    F = f.domain.field
-    basis = linalg.nullspace(F, f.rows(), ncols=f.domain.dim)
-    vectors = [Vector(f.domain, tuple(b)) for b in basis]
-    ob = orthogonalize(f.domain, vectors)
-    space = ob.presented_space()
-    return space, ob.inclusion()
+    basis = linalg.nullspace(f.domain.field, f.rows(), ncols=f.domain.dim)
+    ob = _span_basis(f.domain, basis)
+    return ob.presented_space(), ob.inclusion()
+
+
+def _span_basis(space: WeightedSpace, rows) -> OrthoBasis:
+    """Orthogonal basis of the span of coordinate rows of ``space``."""
+    return orthogonalize(space, [Vector(space, tuple(r)) for r in rows])
+
+
+def _checked_map(domain: WeightedSpace, codomain: WeightedSpace, rows) -> Optional[BoundedMap]:
+    """The bounded map with these rows, or None when a null direction is not kept null."""
+    try:
+        return bounded_map(domain, codomain, rows)
+    except InvariantViolation:
+        return None
+
+
+def _complement(ob: OrthoBasis) -> tuple[int, ...]:
+    """Ambient coordinates that are no pivot of ``ob``."""
+    used = set(ob.pivots) | set(ob.null_pivots)
+    return tuple(d for d in range(ob.ambient.dim) if d not in used)
 
 
 @dataclass(frozen=True)
@@ -59,8 +81,7 @@ class CokernelPresentation:
 
 def cokernel_presentation(f: BoundedMap) -> CokernelPresentation:
     ob = image(f)
-    used = set(ob.pivots) | set(ob.null_pivots)
-    complement = tuple(d for d in range(f.codomain.dim) if d not in used)
+    complement = _complement(ob)
     space = WeightedSpace(f.codomain.field, tuple(f.codomain.weights[d] for d in complement))
     rows = []
     residuals = [ob.residual(basis_vector(f.codomain, c)) for c in range(f.codomain.dim)]
@@ -94,11 +115,8 @@ def factor_through_kernel(k_incl: BoundedMap, f: BoundedMap) -> Optional[Bounded
     sol = linalg.solve_matrix(F, k_incl.rows(), f.rows())
     if sol is None:
         return None
-    try:
-        cand = bounded_map(f.domain, k_incl.domain, sol)
-    except InvariantViolation:
-        return None
-    if compose(k_incl, cand) != f:
+    cand = _checked_map(f.domain, k_incl.domain, sol)
+    if cand is None or compose(k_incl, cand) != f:
         return None
     return cand
 
@@ -117,11 +135,8 @@ def factor_through_cokernel(q_proj: BoundedMap, f: BoundedMap) -> Optional[Bound
     if sol_t is None:
         return None
     rows = [[sol_t[j][i] for j in range(mid)] for i in range(tgt)]
-    try:
-        cand = bounded_map(q_proj.codomain, f.codomain, rows)
-    except InvariantViolation:
-        return None
-    if compose(cand, q_proj) != f:
+    cand = _checked_map(q_proj.codomain, f.codomain, rows)
+    if cand is None or compose(cand, q_proj) != f:
         return None
     return cand
 
@@ -133,12 +148,7 @@ def inverse_map(f: BoundedMap) -> Optional[BoundedMap]:
     inv = linalg.inverse(f.domain.field, f.rows())
     if inv is None:
         return None
-    if f.domain.dim == 0:
-        inv = []
-    try:
-        return bounded_map(f.codomain, f.domain, inv)
-    except InvariantViolation:
-        return None
+    return _checked_map(f.codomain, f.domain, inv)
 
 
 def is_iso_nonexpanding(f: BoundedMap) -> bool:
@@ -254,32 +264,129 @@ class MorphismClassification:
         }
 
 
-def _isometric_onto_image(f: BoundedMap) -> bool:
-    # change of coordinates from the domain to the orthogonal image presentation
-    ob = image(f)
-    incl = ob.inclusion()
-    F = f.domain.field
-    sol = linalg.solve_matrix(F, incl.rows(), f.rows())
-    if sol is None:
-        return False
-    if incl.domain.dim == 0:
-        sol = []
-    try:
-        change = bounded_map(f.domain, incl.domain, sol)
-    except InvariantViolation:
-        return False
-    return is_iso_nonexpanding(change)
+class _MapAnalysis:
+    """What the classification reads of one map, each part filled at first use.
+
+    One elimination of ``[f | I]`` gives the rank, the pivots and the
+    kernel (the left block is the reduced form of f) and, when f is onto,
+    a preimage of each codomain basis vector (the right block).  The image
+    basis needs no elimination for the coordinate change onto the image:
+    its pivots are exclusive, so a coordinate is read off at each pivot.
+    """
+
+    def __init__(self, f: BoundedMap):
+        self.f = f
+        self.F = F = f.domain.field
+        n, m = f.domain.dim, f.codomain.dim
+        ident = linalg.identity(F, m)
+        self.reduced, self.pivots = linalg.rref(F, [list(f.matrix[i]) + ident[i] for i in range(m)])
+        self.rank = sum(1 for c in self.pivots if c < n)
+        self.mono = self.rank == n
+        self.epi = self.rank == m
+
+    @cached_property
+    def image_basis(self) -> OrthoBasis:
+        return image(self.f)
+
+    @cached_property
+    def change(self) -> list:
+        """Coordinates of the columns of f in the image basis."""
+        F, f, ob = self.F, self.f, self.image_basis
+        return [
+            [F.div(x, v.coords[p]) for x in f.matrix[p]]
+            for v, p in zip(ob.vectors + ob.null_vectors, ob.pivots + ob.null_pivots)
+        ]
+
+    @cached_property
+    def change_inverse(self) -> list:
+        """Inverse of the coordinate change; f mono makes the change invertible."""
+        return linalg.inverse(self.F, self.change)
+
+    @cached_property
+    def kernel_basis(self) -> OrthoBasis:
+        n = self.f.domain.dim
+        return _span_basis(self.f.domain, linalg.echelon_nullspace(self.F, self.reduced, self.pivots, n))
+
+    @cached_property
+    def min_preimages(self) -> list:
+        """Per codomain basis vector, its norm-minimal preimage (f onto).
+
+        The residual of any preimage modulo the kernel basis is minimal in
+        its coset, which is the set of all preimages.
+        """
+        f = self.f
+        n, m = f.domain.dim, f.codomain.dim
+        # onto: every pivot lies in the block of f, so [f | I] solves f X = I
+        pre = linalg.echelon_solution(self.F, self.reduced, self.pivots, n, m)
+        return [
+            self.kernel_basis.residual(Vector(f.domain, tuple(row[d] for row in pre))).coords
+            for d in range(m)
+        ]
+
+    @cached_property
+    def strict_mono(self) -> bool:
+        """Injective and an isometry onto the image."""
+        if not self.mono:
+            return False
+        space = self.image_basis.presented_space()
+        return _isometric_iso(self.f.domain, space, self.change, self.change_inverse)
+
+    @cached_property
+    def strict_epi(self) -> bool:
+        """Onto, with the induced map domain/kernel -> codomain an isometric iso.
+
+        The quotient sits on the coordinates off the kernel pivots, where
+        the norm-minimal preimages (zero at those pivots) give the inverse.
+        """
+        if not self.epi:
+            return False
+        f = self.f
+        complement = _complement(self.kernel_basis)
+        space = WeightedSpace(self.F, tuple(f.domain.weights[d] for d in complement))
+        rows = [[row[d] for d in complement] for row in f.matrix]
+        inv_rows = [[col[c] for col in self.min_preimages] for c in complement]
+        return _isometric_iso(space, f.codomain, rows, inv_rows)
+
+    def retraction(self) -> Optional[BoundedMap]:
+        if not self.mono:
+            return None
+        f, F, ob = self.f, self.F, self.image_basis
+        # the inverse coordinate change, read at the image pivots, zero elsewhere
+        rows = [[F.zero] * f.codomain.dim for _ in range(f.domain.dim)]
+        for k, p in enumerate(ob.pivots + ob.null_pivots):
+            for i, row in enumerate(self.change_inverse):
+                rows[i][p] = row[k]
+        cand = _contraction(f.codomain, f.domain, rows)
+        if cand is None or compose(cand, f) != identity_map(f.domain):
+            return None
+        return cand
+
+    def section(self) -> Optional[BoundedMap]:
+        if not self.epi:
+            return None
+        f = self.f
+        rows = [[col[i] for col in self.min_preimages] for i in range(f.domain.dim)]
+        cand = _contraction(f.codomain, f.domain, rows)
+        if cand is None or compose(f, cand) != identity_map(f.codomain):
+            return None
+        return cand
 
 
-def _quotient_comparison(f: BoundedMap) -> Optional[BoundedMap]:
-    """Induced map domain/kernel -> codomain."""
-    _, k = kernel(f)
-    pres = cokernel_presentation(k)
-    rows = [[f.matrix[i][d] for d in pres.complement] for i in range(f.codomain.dim)]
-    try:
-        return bounded_map(pres.space, f.codomain, rows)
-    except InvariantViolation:
-        return None
+def _contraction(domain: WeightedSpace, codomain: WeightedSpace, rows) -> Optional[BoundedMap]:
+    """The bounded map with these rows if it has operator norm <= 1, else None."""
+    g = _checked_map(domain, codomain, rows)
+    return g if g is not None and operator_norm(g) <= MAG_ONE else None
+
+
+def _isometric_iso(X: WeightedSpace, Y: WeightedSpace, rows, inv_rows) -> bool:
+    """Whether ``rows``: X -> Y and its inverse ``inv_rows`` both have norm <= 1."""
+    return _contraction(X, Y, rows) is not None and _contraction(Y, X, inv_rows) is not None
+
+
+def _nonexpanding_analysis(f: BoundedMap) -> _MapAnalysis:
+    if operator_norm(f) > MAG_ONE:
+        raise NotNonExpanding("classification applies to maps of operator norm <= 1")
+    return _MapAnalysis(f)
 
 
 def retraction(f: BoundedMap) -> Optional[BoundedMap]:
@@ -288,36 +395,7 @@ def retraction(f: BoundedMap) -> Optional[BoundedMap]:
     The zero extension along the orthogonal complement of the image has the
     smallest possible norm among retractions, so testing it decides the flag.
     """
-    F = f.domain.field
-    if linalg.rank(F, f.rows()) < f.domain.dim:
-        return None
-    ob = image(f)
-    incl = ob.inclusion()
-    sol = linalg.solve_matrix(F, incl.rows(), f.rows())
-    if sol is None:
-        return None
-    if incl.domain.dim == 0:
-        sol = []
-    change_inv = linalg.inverse(F, sol)
-    if change_inv is None:
-        return None
-    # coefficients of the image part of a codomain vector, read off the pivots
-    piv = ob.pivots + ob.null_pivots
-    coeff_rows = [
-        [F.one if c == p else F.zero for c in range(f.codomain.dim)] for p in piv
-    ]
-    rows = linalg.mat_mul(F, change_inv, coeff_rows)
-    if f.domain.dim == 0:
-        rows = []
-    try:
-        cand = bounded_map(f.codomain, f.domain, rows)
-    except InvariantViolation:
-        return None
-    if operator_norm(cand) > MAG_ONE:
-        return None
-    if compose(cand, f) != identity_map(f.domain):
-        return None
-    return cand
+    return _MapAnalysis(f).retraction()
 
 
 def section(f: BoundedMap) -> Optional[BoundedMap]:
@@ -327,29 +405,7 @@ def section(f: BoundedMap) -> Optional[BoundedMap]:
     is the norm-minimal preimage, and the operator norm is decided per basis
     vector, so minimizing columns independently is globally optimal.
     """
-    F = f.domain.field
-    if f.codomain.dim and linalg.rank(F, f.rows()) < f.codomain.dim:
-        return None
-    ident = linalg.identity(F, f.codomain.dim)
-    pre = linalg.solve_matrix(F, f.rows(), ident)
-    if pre is None:
-        return None
-    basis = linalg.nullspace(F, f.rows(), ncols=f.domain.dim)
-    ker_basis = orthogonalize(f.domain, [Vector(f.domain, tuple(b)) for b in basis])
-    cols = []
-    for d in range(f.codomain.dim):
-        x = Vector(f.domain, tuple(pre[i][d] for i in range(f.domain.dim)))
-        cols.append(ker_basis.residual(x).coords)
-    rows = [[cols[d][i] for d in range(f.codomain.dim)] for i in range(f.domain.dim)]
-    try:
-        cand = bounded_map(f.codomain, f.domain, rows)
-    except InvariantViolation:
-        return None
-    if operator_norm(cand) > MAG_ONE:
-        return None
-    if compose(f, cand) != identity_map(f.codomain):
-        return None
-    return cand
+    return _MapAnalysis(f).section()
 
 
 def strict_flags(f: BoundedMap) -> tuple[int, bool, bool]:
@@ -357,32 +413,30 @@ def strict_flags(f: BoundedMap) -> tuple[int, bool, bool]:
 
     Strict epi: surjective with the induced map domain/kernel -> codomain an
     isometric isomorphism.  Strict mono: injective and an isometry onto the
-    image.  The rank comes along so that classify_morphism reuses it.
+    image.
     """
-    if operator_norm(f) > MAG_ONE:
-        raise NotNonExpanding("classification applies to maps of operator norm <= 1")
-    rk = linalg.rank(f.domain.field, f.rows())
-    strict_mono = rk == f.domain.dim and _isometric_onto_image(f)
-    strict_epi = False
-    if rk == f.codomain.dim:
-        comp = _quotient_comparison(f)
-        strict_epi = comp is not None and is_iso_nonexpanding(comp)
-    return rk, strict_mono, strict_epi
+    a = _nonexpanding_analysis(f)
+    return a.rank, a.strict_mono, a.strict_epi
 
 
 def classify_morphism(f: BoundedMap) -> MorphismClassification:
     """Classification in the non-expanding category; exact in every entry.
 
-    The strict flags come from strict_flags.  Split flags solve for a
-    one-sided inverse of norm at most one.
+    Every flag reads one analysis of f.  Split flags solve for a one-sided
+    inverse of norm at most one.  A mono strict epi has kernel zero, so its
+    quotient comparison is f itself and the strict-epi test is the
+    isomorphism test.
     """
-    rk, strict_mono, strict_epi = strict_flags(f)
-    mono = rk == f.domain.dim
-    epi = rk == f.codomain.dim
-    iso = mono and epi and is_iso_nonexpanding(f)
-    split_mono = mono and retraction(f) is not None
-    split_epi = epi and section(f) is not None
-    return MorphismClassification(mono, epi, strict_mono, strict_epi, iso, split_mono, split_epi)
+    a = _nonexpanding_analysis(f)
+    return MorphismClassification(
+        mono=a.mono,
+        epi=a.epi,
+        strict_mono=a.strict_mono,
+        strict_epi=a.strict_epi,
+        iso=a.mono and a.strict_epi,
+        split_mono=a.retraction() is not None,
+        split_epi=a.section() is not None,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from . import constructions as con
-from . import linalg
 from .category import CategoryInstance, Strictness
-from .errors import BudgetExceeded, InvariantViolation, SolverUnavailable
-from .scalars import MAG_ZERO, Magnitude, PrimeField, ValuedField, format_magnitude
+from .errors import BudgetExceeded, InvariantViolation
+from .scalars import Magnitude, PrimeField, ValuedField, format_magnitude
 from .spaces import (
     BoundedMap,
     Vector,
@@ -78,13 +76,17 @@ class WeightedModuleCategory(CategoryInstance):
         return con.is_iso_nonexpanding(f)
 
     def is_mono(self, f: BoundedMap) -> bool:
-        return linalg.rank(f.domain.field, f.rows()) == f.domain.dim
+        return self._classified(f)[0] == f.domain.dim
 
     def is_epi(self, f: BoundedMap) -> bool:
-        return linalg.rank(f.domain.field, f.rows()) == f.codomain.dim
+        return self._classified(f)[0] == f.codomain.dim
 
     def strictness(self, f: BoundedMap) -> Strictness:
-        return self._memoized("strictness", f, _strictness)
+        return self._classified(f)[1]
+
+    def _classified(self, f: BoundedMap) -> tuple[int, Strictness]:
+        # the rank comes with the strict flags, so is_mono/is_epi cost no elimination
+        return self._memoized("strictness", f, _rank_and_strictness)
 
     def pullback(self, f, g):
         return con.pullback(f, g)
@@ -110,9 +112,9 @@ class WeightedModuleCategory(CategoryInstance):
         }
 
 
-def _strictness(f: BoundedMap) -> Strictness:
-    _, strict_mono, strict_epi = con.strict_flags(f)
-    return Strictness(strict_mono, strict_epi)
+def _rank_and_strictness(f: BoundedMap) -> tuple[int, Strictness]:
+    rank, strict_mono, strict_epi = con.strict_flags(f)
+    return rank, Strictness(strict_mono, strict_epi)
 
 
 @dataclass(frozen=True)

@@ -96,10 +96,18 @@ def solve_matrix(F: ValuedField, a, b):
     for c in pivots:
         if c >= n:  # pivot in the augmented block: inconsistent
             return None
+    return echelon_solution(F, red, pivots, n, k)
+
+
+def echelon_solution(F: ValuedField, red, pivots, n: int, k: int):
+    """X with a @ X = b, read off the reduced form ``red`` of ``[a | b]``.
+
+    ``a`` has n columns and b has k; every pivot must lie below n (the
+    system is consistent).  Free variables are set to zero.
+    """
     x = [[F.zero] * k for _ in range(n)]
     for r, c in enumerate(pivots):
-        for j in range(k):
-            x[c][j] = red[r][n + j]
+        x[c] = red[r][n:n + k]
     return x
 
 
@@ -114,9 +122,17 @@ def nullspace(F: ValuedField, a, ncols: int = None):
     ``ncols`` is required when ``a`` has no rows (the shape is lost).
     """
     n = len(a[0]) if a else (ncols or 0)
-    if not a:
-        return [[F.one if i == j else F.zero for i in range(n)] for j in range(n)]
-    red, pivots = rref(F, a)
+    red, pivots = rref(F, a) if a else ([], [])
+    return echelon_nullspace(F, red, pivots, n)
+
+
+def echelon_nullspace(F: ValuedField, red, pivots, n: int):
+    """Nullspace basis of a matrix with n columns, read off its reduced form.
+
+    ``red`` may carry extra columns to the right of the first n (an
+    augmented block); only pivots below n belong to the matrix.
+    """
+    pivots = [c for c in pivots if c < n]
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -131,16 +147,18 @@ def nullspace(F: ValuedField, a, ncols: int = None):
 
 
 def inverse(F: ValuedField, a):
-    """Two-sided inverse of a square matrix, or None if singular."""
+    """Two-sided inverse of a square matrix, or None if singular.
+
+    One elimination of ``[a | I]``: a is invertible exactly when the pivots
+    are the first n columns, and then the right-hand block is the inverse.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         return None
     if n == 0:
         return []
-    inv = solve_matrix(F, a, identity(F, n))
-    if inv is None:
+    ident = identity(F, n)
+    red, pivots = rref(F, [list(a[i]) + ident[i] for i in range(n)])
+    if pivots != list(range(n)):
         return None
-    # solve_matrix guarantees a right inverse; squareness makes it two-sided
-    if rank(F, a) < n:
-        return None
-    return inv
+    return [row[n:] for row in red]

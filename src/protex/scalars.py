@@ -47,22 +47,30 @@ class Magnitude:
     def is_zero(self) -> bool:
         return self.exponent is None
 
-    def _key(self):
-        if self.exponent is None:
-            return (0, Fraction(0))
-        return (1, self.exponent)
-
+    # each operator compares the exponents itself; zero lies below every g^q
     def __lt__(self, other: "Magnitude") -> bool:
-        return self._key() < other._key()
+        a, b = self.exponent, other.exponent
+        if a is None:
+            return b is not None
+        return b is not None and a < b
 
     def __le__(self, other: "Magnitude") -> bool:
-        return self._key() <= other._key()
+        a, b = self.exponent, other.exponent
+        if a is None:
+            return True
+        return b is not None and a <= b
 
     def __gt__(self, other: "Magnitude") -> bool:
-        return self._key() > other._key()
+        a, b = self.exponent, other.exponent
+        if b is None:
+            return a is not None
+        return a is not None and a > b
 
     def __ge__(self, other: "Magnitude") -> bool:
-        return self._key() >= other._key()
+        a, b = self.exponent, other.exponent
+        if b is None:
+            return True
+        return a is not None and a >= b
 
     def __mul__(self, other: "Magnitude") -> "Magnitude":
         if self.exponent is None or other.exponent is None:
@@ -83,11 +91,17 @@ class Magnitude:
 MAG_ZERO = Magnitude(None)
 MAG_ONE = Magnitude(Fraction(0))
 
+# g^e for an integer exponent e, shared by every p-adic absolute value;
+# magnitudes are immutable values, so one object per exponent is safe
+_INT_MAGNITUDES: dict[int, Magnitude] = {0: MAG_ONE}
+
 
 def mag_compare(a: Magnitude, b: Magnitude) -> int:
     """-1, 0 or 1 according to the total order on magnitudes."""
-    ka, kb = a._key(), b._key()
-    return (ka > kb) - (ka < kb)
+    x, y = a.exponent, b.exponent
+    if x is None or y is None:
+        return (x is not None) - (y is not None)
+    return (x > y) - (x < y)
 
 
 def mag_mul(a: Magnitude, b: Magnitude) -> Magnitude:
@@ -218,7 +232,7 @@ class _RationalOps:
         return -a
 
     def is_zero(self, a) -> bool:
-        return a == 0
+        return not a
 
     def parse_element(self, text: str) -> Fraction:
         return Fraction(text.strip())
@@ -238,11 +252,15 @@ class PAdicRationals(_RationalOps, ValuedField):
             raise ValueError(f"p-adic base must be prime, got {self.p}")
 
     def abs_value(self, a) -> Magnitude:
-        a = Fraction(a)
-        if a == 0:
+        num = a.numerator
+        if not num:
             return MAG_ZERO
-        v = padic_valuation(a.numerator, self.p) - padic_valuation(a.denominator, self.p)
-        return Magnitude.of(-v)
+        e = padic_valuation(a.denominator, self.p) - padic_valuation(num, self.p)
+        try:
+            return _INT_MAGNITUDES[e]
+        except KeyError:
+            _INT_MAGNITUDES[e] = mag = Magnitude.of(e)
+            return mag
 
     def random_element(self, rng, allow_zero: bool = True) -> Fraction:
         if allow_zero and rng.random() < 0.15:

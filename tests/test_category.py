@@ -30,6 +30,7 @@ from protex import (
 )
 from protex import FinPointedSet, FinWeightedVec
 from protex import constructions as con
+from protex import linalg
 from protex.category import Strictness, admissible_monos
 from protex.errors import NotComposable, SolverUnavailable
 from protex.pointed_sets import PointedMap, PointedSet
@@ -123,6 +124,25 @@ class TestStrictnessMemo:
         assert audit_axioms(C, total=True).passed
         assert audit_obscure(C).passed
         assert runs and max(runs.values()) == 1
+
+    def test_is_mono_and_is_epi_read_the_memoized_rank(self, monkeypatch):
+        C = FinWeightedVec(F2, (E0, E1), max_dim=2)
+        maps = [f for X in C.objects() for Y in C.objects() for f in C.morphisms(X, Y)]
+        ranks = [linalg.rank(F2, f.rows()) for f in maps]
+        expected = [(r == f.domain.dim, r == f.codomain.dim) for r, f in zip(ranks, maps)]
+        assert set(expected) == {(a, b) for a in (False, True) for b in (False, True)}
+        for f in maps:
+            C.strictness(f)
+        calls = []
+        rref = linalg.rref
+
+        def counted(F, a):
+            calls.append(a)
+            return rref(F, a)
+
+        monkeypatch.setattr(linalg, "rref", counted)
+        assert [(C.is_mono(f), C.is_epi(f)) for f in maps] == expected
+        assert calls == []
 
 
 class TestValidateSes:

@@ -34,9 +34,18 @@ from protex import (
     vector,
     zero_map,
 )
-from protex.constructions import retraction, section
+from protex import linalg
+from protex.constructions import is_iso_nonexpanding, retraction, section, strict_flags
 from protex.errors import NotComposable, NotNonExpanding, NotSpanning
-from protex.randgen import random_nonexpanding_map, random_space, random_vector
+from protex.finvec import FinWeightedVec
+from protex.randgen import (
+    random_isometric_auto,
+    random_nonexpanding_map,
+    random_space,
+    random_strict_epi,
+    random_strict_mono,
+    random_vector,
+)
 
 Q2 = PAdicRationals(2)
 F2 = PrimeField(2)
@@ -192,6 +201,64 @@ class TestClassify:
                             found_section = True
                     assert record.split_mono == found_retraction
                     assert record.split_epi == found_section
+
+
+def _finvec_maps():
+    C = FinWeightedVec(F2, (E0, E1), max_dim=2)
+    for X in C.objects():
+        for Y in C.objects():
+            yield from C.morphisms(X, Y)
+
+
+def _padic_maps(count):
+    rng = random.Random(606)
+    for _ in range(count):
+        field = PAdicRationals(rng.choice([2, 3]))
+        X = random_space(field, rng, 3, allow_null=True)
+        Y = random_space(field, rng, 3, allow_null=True)
+        yield random_nonexpanding_map(X, Y, rng)
+        yield random_strict_mono(field, rng, max_dim=3, allow_null=True)
+        yield random_strict_epi(field, rng, max_dim=3, allow_null=True)
+        yield random_isometric_auto(X, rng)
+
+
+class TestSharedAnalysis:
+    """classify_morphism reads one analysis; the separate entry points agree."""
+
+    @pytest.mark.parametrize("maps", [_finvec_maps, lambda: _padic_maps(150)], ids=["finvec", "padic"])
+    def test_flags_match_the_separate_calls(self, maps):
+        seen = set()
+        for f in maps():
+            record = classify_morphism(f)
+            rank, strict_mono, strict_epi = strict_flags(f)
+            assert (record.strict_mono, record.strict_epi) == (strict_mono, strict_epi)
+            assert record.mono == (rank == f.domain.dim)
+            assert record.epi == (rank == f.codomain.dim)
+            assert record.split_mono == (retraction(f) is not None)
+            assert record.split_epi == (section(f) is not None)
+            assert record.iso == is_iso_nonexpanding(f)
+            seen.add(tuple(record.as_dict().values()))
+        # every flag takes both values
+        for k in range(7):
+            assert {flags[k] for flags in seen} == {False, True}
+
+    def test_one_classification_eliminates_twice(self, monkeypatch):
+        # an isometric automorphism of Q_2^3: every flag holds, so every part
+        # of the analysis is read; eliminating [f | I] and inverting the
+        # coordinate change onto the image are the only eliminations
+        X = WeightedSpace(Q2, (E0, E1, E0))
+        f = bounded_map(X, X, [[1, 2, 0], [0, 1, 0], [0, Fraction(1, 2), 1]])
+        calls = []
+        rref = linalg.rref
+
+        def counted(F, a):
+            calls.append(len(a))
+            return rref(F, a)
+
+        monkeypatch.setattr(linalg, "rref", counted)
+        record = classify_morphism(f)
+        assert all(record.as_dict().values())
+        assert len(calls) == 2
 
 
 class TestSquares:

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from protex import PAdicRationals, PrimeField
 from protex import linalg
 
@@ -82,3 +84,58 @@ def test_empty_shapes():
     assert linalg.inverse(F, []) == []
     assert linalg.solve_matrix(F, [], []) == []
     assert linalg.mat_vec(F, [], []) == []
+
+
+def _random_padic_matrices(count):
+    """(field, matrix) pairs up to 4 x 5, empty shapes and low ranks included."""
+    rng = random.Random(2718)
+    for k in range(count):
+        F = PAdicRationals((2, 3)[k % 2])
+        m, n = rng.randint(0, 4), rng.randint(0, 5)
+        if k % 3 == 0 and m and n:
+            # a product through a narrow middle, so that the rank drops
+            inner = rng.randint(0, min(m, n) - 1)
+            left = [[F.random_element(rng) for _ in range(inner)] for _ in range(m)]
+            right = [[F.random_element(rng) for _ in range(n)] for _ in range(inner)]
+            a = linalg.mat_mul(F, left, right) if inner else [[F.zero] * n for _ in range(m)]
+        else:
+            a = [[F.random_element(rng) for _ in range(n)] for _ in range(m)]
+        yield F, a, n
+
+
+def test_elimination_against_sympy():
+    # independent oracle: sympy's exact rational matrices
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(a, n):
+        return sympy.Matrix(len(a), n, [sympy.Rational(x.numerator, x.denominator) for r in a for x in r])
+
+    def to_fractions(M):
+        return [[Fraction(int(x.p), int(x.q)) for x in M.row(i)] for i in range(M.rows)]
+
+    ranks = set()
+    singular = invertible = 0
+    for F, a, n in _random_padic_matrices(400):
+        M = to_sympy(a, n)
+        rank = linalg.rank(F, a)
+        assert rank == M.rank()
+        ranks.add((rank, len(a), n))
+        red, pivots = linalg.rref(F, a)
+        R, sym_pivots = M.rref()
+        assert pivots == list(sym_pivots)
+        assert red == to_fractions(R)
+        ours = linalg.nullspace(F, a, ncols=n)
+        theirs = [to_fractions(v.T)[0] for v in M.nullspace()]
+        assert ours == theirs
+        if len(a) == n:
+            inv = linalg.inverse(F, a)
+            if n and M.det() == 0:
+                singular += 1
+                assert inv is None
+            else:
+                invertible += 1
+                assert inv == (to_fractions(M.inv()) if n else [])
+    assert singular > 10 and invertible > 10
+    # full-rank and rank-deficient shapes, and both empty directions
+    assert any(r < min(m, n) for r, m, n in ranks)
+    assert any(m == 0 for _, m, _ in ranks) and any(n == 0 for _, _, n in ranks)

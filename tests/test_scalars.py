@@ -77,6 +77,69 @@ class TestMagnitude:
             parse_magnitude("3")
 
 
+def _exponent_order(m):
+    # reference order: zero below every g^q, powers by their exponent
+    return (0, Fraction(0)) if m.exponent is None else (1, m.exponent)
+
+
+class TestDirectComparisons:
+    @given(magnitudes, magnitudes)
+    def test_operators_follow_the_exponent_order(self, a, b):
+        ka, kb = _exponent_order(a), _exponent_order(b)
+        assert (a < b) == (ka < kb)
+        assert (a <= b) == (ka <= kb)
+        assert (a > b) == (ka > kb)
+        assert (a >= b) == (ka >= kb)
+        assert mag_compare(a, b) == (ka > kb) - (ka < kb)
+
+    @given(st.fractions(min_value=-20, max_value=20))
+    def test_zero_below_every_power(self, q):
+        m = Magnitude.of(q)
+        assert MAG_ZERO < m and MAG_ZERO <= m and m > MAG_ZERO and m >= MAG_ZERO
+        assert not (m < MAG_ZERO or m <= MAG_ZERO or MAG_ZERO > m or MAG_ZERO >= m)
+        assert (mag_compare(MAG_ZERO, m), mag_compare(m, MAG_ZERO)) == (-1, 1)
+        assert MAG_ZERO <= MAG_ZERO and MAG_ZERO >= MAG_ZERO
+        assert not (MAG_ZERO < MAG_ZERO or MAG_ZERO > MAG_ZERO)
+        assert mag_compare(MAG_ZERO, MAG_ZERO) == 0
+
+
+padic_scalars = st.one_of(
+    st.integers(min_value=-(10**9), max_value=10**9),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
+
+
+class TestPAdicAbsValue:
+    @given(st.sampled_from([2, 3, 5]), padic_scalars)
+    def test_abs_value_is_g_to_minus_the_valuation(self, p, x):
+        F = PAdicRationals(p)
+        if x == 0:
+            assert F.abs_value(x) is MAG_ZERO
+            return
+        q = Fraction(x)
+        v = trial_division_valuation(q.numerator, p) - trial_division_valuation(q.denominator, p)
+        assert F.abs_value(x) == Magnitude.of(-v)
+
+    @given(st.sampled_from([2, 3, 5]), padic_scalars.filter(lambda x: x != 0))
+    def test_cached_magnitudes_equal_fresh_ones(self, p, x):
+        F = PAdicRationals(p)
+        m = F.abs_value(x)
+        fresh = Magnitude.of(m.exponent)
+        assert m is not fresh and m == fresh
+        assert hash(m) == hash(fresh)
+        assert format_magnitude(m) == format_magnitude(fresh)
+        assert repr(m) == repr(fresh)
+        assert F.abs_value(x) is m
+
+    def test_zero_in_every_form(self):
+        for p in (2, 3, 5):
+            F = PAdicRationals(p)
+            assert F.abs_value(0) is MAG_ZERO
+            assert F.abs_value(Fraction(0)) is MAG_ZERO
+            assert F.is_zero(Fraction(0)) and F.is_zero(0)
+            assert not F.is_zero(Fraction(-1, p))
+
+
 class TestPAdic:
     def test_abs_examples(self):
         F = PAdicRationals(2)
