@@ -361,6 +361,10 @@ def audit_axioms(
     pushouts.  The instance must enumerate its objects and hom-sets
     (others raise ``SolverUnavailable``).  Every failure carries a
     replayable witness.
+
+    A total audit whose restricted audit passed builds no square along a
+    strict mono (epi): those are the restricted cases, known to pass.  They
+    are still charged to the budget, so its threshold does not change.
     """
     objs = C.objects()
     counter = _Budget(budget)
@@ -368,12 +372,13 @@ def audit_axioms(
         _audit_identities(C, objs, counter),
         _audit_composition(C, objs, counter, "mono_composition", "strict_mono"),
         _audit_composition(C, objs, counter, "epi_composition", "strict_epi"),
-        _audit_pullback_stability(C, objs, counter, total=False, jobs=jobs),
-        _audit_pushout_stability(C, objs, counter, total=False, jobs=jobs),
+        _audit_pullback_stability(C, objs, counter, jobs),
+        _audit_pushout_stability(C, objs, counter, jobs),
     ]
     if total:
-        entries.append(_audit_pullback_stability(C, objs, counter, total=True, jobs=jobs))
-        entries.append(_audit_pushout_stability(C, objs, counter, total=True, jobs=jobs))
+        along_mono, along_epi = entries[3:]
+        entries.append(_audit_pullback_stability(C, objs, counter, jobs, along_mono))
+        entries.append(_audit_pushout_stability(C, objs, counter, jobs, along_epi))
     return AuditReport(C.name, _bounds_of(C, budget), tuple(entries))
 
 
@@ -444,34 +449,48 @@ def _audit_composition(C, objs: list, counter, name: str, flag: str) -> AuditEnt
     return AuditEntry(name, "pass")
 
 
-def _audit_pullback_stability(C, objs: list, counter, total: bool, jobs: int) -> AuditEntry:
-    name = "epi_pullback_total" if total else "epi_pullback_along_mono"
-    cases = []
-    for Z in objs:
-        others = _maps(C, objs, None if total else "strict_mono", into=Z)
-        for e in _maps(C, objs, "strict_epi", into=Z):
-            for g in others:
-                cases.append((e, g))
-    counter.tick(len(cases))
+def _audit_pullback_stability(C, objs: list, counter, jobs: int, along_mono=None) -> AuditEntry:
+    """Pullbacks of strict epis along strict monos, or along every map when
+    ``along_mono`` (the restricted audit's entry) is given."""
+    name = "epi_pullback_along_mono" if along_mono is None else "epi_pullback_total"
+    cases = _square_cases(C, objs, counter, "strict_epi", "strict_mono", along_mono, "into")
     for bad in _map_cases(_pullback_case, C, cases, jobs):
         if bad is not None:
             return AuditEntry(name, "fail", _witness(C, epi=bad[0], along=bad[1]))
     return AuditEntry(name, "pass")
 
 
-def _audit_pushout_stability(C, objs: list, counter, total: bool, jobs: int) -> AuditEntry:
-    name = "mono_pushout_total" if total else "mono_pushout_along_epi"
-    cases = []
-    for K in objs:
-        others = _maps(C, objs, None if total else "strict_epi", source=K)
-        for i in _maps(C, objs, "strict_mono", source=K):
-            for g in others:
-                cases.append((i, g))
-    counter.tick(len(cases))
+def _audit_pushout_stability(C, objs: list, counter, jobs: int, along_epi=None) -> AuditEntry:
+    """Pushouts of strict monos along strict epis, or along every map when
+    ``along_epi`` (the restricted audit's entry) is given."""
+    name = "mono_pushout_along_epi" if along_epi is None else "mono_pushout_total"
+    cases = _square_cases(C, objs, counter, "strict_mono", "strict_epi", along_epi, "source")
     for bad in _map_cases(_pushout_case, C, cases, jobs):
         if bad is not None:
             return AuditEntry(name, "fail", _witness(C, mono=bad[0], along=bad[1]))
     return AuditEntry(name, "pass")
+
+
+def _square_cases(C, objs, counter, flag: str, along: str, restricted, end: str) -> list:
+    """The pairs (f, g) of a ``flag`` map f and a map g with the same
+    codomain (``end="into"``) or domain (``end="source"``), object by object.
+
+    Without ``restricted`` g runs over the ``along`` maps; with it (the
+    restricted audit's entry) over every map.  If that audit passed, the
+    pairs whose g is an ``along`` map are its cases, known to pass: they are
+    charged to the budget in the one tick, but not returned.
+    """
+    cases, charged = [], 0
+    for Z in objs:
+        others = _maps(C, objs, along if restricted is None else None, **{end: Z})
+        todo = others
+        if restricted is not None and restricted.verdict == "pass":
+            todo = [g for g in others if not getattr(C.strictness(g), along)]
+        for f in _maps(C, objs, flag, **{end: Z}):
+            charged += len(others)
+            cases += [(f, g) for g in todo]
+    counter.tick(charged)
+    return cases
 
 
 def _audit_obscure_left(C, objs: list, counter) -> AuditEntry:

@@ -14,12 +14,6 @@ def identity(F: ValuedField, n: int):
     return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
 
 
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mul(F: ValuedField, a, b):
     rows, inner = len(a), len(b)
     cols = len(b[0]) if b else 0

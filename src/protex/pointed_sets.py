@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Optional
 
 from .category import AuditEntry, AuditReport, CategoryInstance, Strictness, audit_obscure
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import BudgetExceeded, InvariantViolation, NotComposable
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,6 @@ class PointedMap:
 
     def __call__(self, x: int) -> int:
         return self.images[x]
-
-
-def pointed_map(dom: PointedSet, cod: PointedSet, images) -> PointedMap:
-    return PointedMap(dom, cod, tuple(images))
 
 
 def is_strict_mono_map(f: PointedMap) -> bool:
@@ -105,6 +101,12 @@ class _PSetPullback:
     p2: PointedMap
 
     def mediate(self, q1: PointedMap, q2: PointedMap) -> Optional[PointedMap]:
+        if q1.dom != q2.dom:
+            return None
+        if q1.cod != self.p1.cod or q2.cod != self.p2.cod:
+            raise NotComposable("the legs do not end at the corners of the square")
+        # the pairs are exactly the (x, y) with f(x) = g(y): a missing pair is a
+        # cone that does not commute
         index = {pair: i for i, pair in enumerate(self.pairs)}
         images = []
         for t in q1.dom.elements:
@@ -125,21 +127,15 @@ class _PSetPushout:
     def mediate(self, q1: PointedMap, q2: PointedMap) -> Optional[PointedMap]:
         if q1.cod != q2.cod:
             return None
-        images = [0] * (self.space.size + 1)
-        assigned = [False] * (self.space.size + 1)
-        for x in q1.dom.elements:
-            cls = self.j1(x)
-            val = q1(x)
-            if assigned[cls] and images[cls] != val:
+        if q1.dom != self.j1.dom or q2.dom != self.j2.dom:
+            raise NotComposable("the legs do not start at the corners of the square")
+        # the classes are generated by i(k) ~ g(k), so a class with two values
+        # is a cone that does not commute
+        images: dict = {}
+        for cls, val in zip(self.j1.images + self.j2.images, q1.images + q2.images):
+            if images.setdefault(cls, val) != val:
                 return None
-            images[cls], assigned[cls] = val, True
-        for y in q2.dom.elements:
-            cls = self.j2(y)
-            val = q2(y)
-            if assigned[cls] and images[cls] != val:
-                return None
-            images[cls], assigned[cls] = val, True
-        return PointedMap(self.space, q1.cod, tuple(images))
+        return PointedMap(self.space, q1.cod, tuple(images[c] for c in self.space.elements))
 
 
 @dataclass(frozen=True)
@@ -244,45 +240,35 @@ class FinPointedSet(CategoryInstance):
     def pushout(self, i: PointedMap, g: PointedMap) -> _PSetPushout:
         if i.dom != g.dom:
             raise InvariantViolation("pushout needs a common domain")
-        # union-find over the disjoint elements of both targets plus a base node
-        nodes = [("*", 0)]
-        nodes += [("x", x) for x in i.cod.elements if x != 0]
-        nodes += [("y", y) for y in g.cod.elements if y != 0]
-        parent = {node: node for node in nodes}
-
-        def find(n):
-            while parent[n] != n:
-                parent[n] = parent[parent[n]]
-                n = parent[n]
-            return n
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # keep the lexicographically smallest representative
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-
-        def node_x(x):
-            return ("*", 0) if x == 0 else ("x", x)
-
-        def node_y(y):
-            return ("*", 0) if y == 0 else ("y", y)
-
-        for k in i.dom.elements:
-            union(node_x(i(k)), node_y(g(k)))
-        classes = sorted({find(n) for n in nodes})
-        base_class = find(("*", 0))
-        relabel = {base_class: 0}
-        nxt = 1
-        for cls in classes:
-            if cls != base_class:
-                relabel[cls] = nxt
-                nxt += 1
-        Q = PointedSet(nxt - 1)
-        j1 = PointedMap(i.cod, Q, tuple(relabel[find(node_x(x))] for x in i.cod.elements))
-        j2 = PointedMap(g.cod, Q, tuple(relabel[find(node_y(y))] for y in g.cod.elements))
+        # node 0 is the base, 1..n the elements of i's target and n+1..n+m those
+        # of g's; every parent link points to a smaller node, so each root is
+        # the smallest node of its class
+        n = i.cod.size
+        parent = list(range(n + g.cod.size + 1))
+        for a, b in zip(i.images, g.images):
+            if b:
+                b += n
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if b < a:
+                    a, b = b, a
+                parent[b] = a
+        # number the classes in order of their roots, the base class first; a
+        # node's parent is smaller, so its label is already known
+        label = []
+        count = 0
+        for v, p in enumerate(parent):
+            if p == v:
+                label.append(count)
+                count += 1
+            else:
+                label.append(label[p])
+        Q = PointedSet(count - 1)
+        j1 = PointedMap(i.cod, Q, tuple(label[: n + 1]))
+        j2 = PointedMap(g.cod, Q, (0, *label[n + 1 :]))
         return _PSetPushout(self, Q, j1, j2)
 
     def describe_object(self, X: PointedSet) -> dict:
