@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -362,23 +363,27 @@ def audit_axioms(
     (others raise ``SolverUnavailable``).  Every failure carries a
     replayable witness.
 
+    The pushout audits are the pullback audits of the opposite category.
     A total audit whose restricted audit passed builds no square along a
     strict mono (epi): those are the restricted cases, known to pass.  They
     are still charged to the budget, so its threshold does not change.
     """
     objs = C.objects()
     counter = _Budget(budget)
+    op = _Opposite(C)
     entries = [
         _audit_identities(C, objs, counter),
         _audit_composition(C, objs, counter, "mono_composition", "strict_mono"),
         _audit_composition(C, objs, counter, "epi_composition", "strict_epi"),
-        _audit_pullback_stability(C, objs, counter, jobs),
-        _audit_pushout_stability(C, objs, counter, jobs),
+        _audit_pullback_stability(C, objs, counter, jobs, "epi_pullback_along_mono", "epi"),
+        _audit_pullback_stability(op, objs, counter, jobs, "mono_pushout_along_epi", "mono"),
     ]
     if total:
         along_mono, along_epi = entries[3:]
-        entries.append(_audit_pullback_stability(C, objs, counter, jobs, along_mono))
-        entries.append(_audit_pushout_stability(C, objs, counter, jobs, along_epi))
+        entries += [
+            _audit_pullback_stability(C, objs, counter, jobs, "epi_pullback_total", "epi", along_mono),
+            _audit_pullback_stability(op, objs, counter, jobs, "mono_pushout_total", "mono", along_epi),
+        ]
     return AuditReport(C.name, _bounds_of(C, budget), tuple(entries))
 
 
@@ -392,12 +397,13 @@ def audit_obscure(C: CategoryInstance, budget: Optional[int] = None) -> AuditRep
 
     A first factor that is not a mono (a second factor that is not an
     epi) cannot fail, since j o i mono forces i mono (e o j epi forces e
-    epi); its pairs are counted against the budget but not composed.
+    epi); its pairs are counted against the budget but not composed.  The
+    right audit is the left audit of the opposite category.
     """
     objs = C.objects()
     counter = _Budget(budget)
-    left = _audit_obscure_left(C, objs, counter)
-    right = _audit_obscure_right(C, objs, counter)
+    left = _audit_obscure_left(C, objs, counter, "left_obscure", ("first", "second"))
+    right = _audit_obscure_left(_Opposite(C), objs, counter, "right_obscure", ("second", "first"))
     entries = (
         left,
         right,
@@ -416,6 +422,42 @@ class _Budget:
         self.used += n
         if self.limit is not None and self.used > self.limit:
             raise BudgetExceeded(f"audit budget {self.limit} exceeded")
+
+
+# the four flag pairs, indexed [strict_mono][strict_epi]
+_STRICTNESS = tuple(tuple(Strictness(m, e) for e in (False, True)) for m in (False, True))
+_Legs = namedtuple("_Legs", "p1 p2")
+
+
+@dataclass(frozen=True)
+class _Opposite:
+    """C^op, as far as the audits read it: each dual audit is the primal
+    audit run here.  Hom-sets and composition are reversed, strict monos
+    and strict epis (and monos and epis) swap, and a pullback is a pushout
+    of C.  The morphisms are C's own, so witnesses describe them as C does.
+    """
+
+    C: CategoryInstance
+
+    def morphisms(self, X: Obj, Y: Obj) -> tuple[Mor, ...]:
+        return self.C.morphisms(Y, X)
+
+    def compose(self, g: Mor, f: Mor) -> Mor:
+        return self.C.compose(f, g)
+
+    def strictness(self, f: Mor) -> Strictness:
+        s = self.C.strictness(f)
+        return _STRICTNESS[s.strict_epi][s.strict_mono]
+
+    def is_mono(self, f: Mor) -> bool:
+        return self.C.is_epi(f)
+
+    def pullback(self, f: Mor, g: Mor) -> _Legs:
+        square = self.C.pushout(f, g)
+        return _Legs(square.j1, square.j2)
+
+    def describe_morphism(self, f: Mor) -> Any:
+        return self.C.describe_morphism(f)
 
 
 def _bounds_of(C, budget) -> dict:
@@ -449,51 +491,40 @@ def _audit_composition(C, objs: list, counter, name: str, flag: str) -> AuditEnt
     return AuditEntry(name, "pass")
 
 
-def _audit_pullback_stability(C, objs: list, counter, jobs: int, along_mono=None) -> AuditEntry:
-    """Pullbacks of strict epis along strict monos, or along every map when
-    ``along_mono`` (the restricted audit's entry) is given."""
-    name = "epi_pullback_along_mono" if along_mono is None else "epi_pullback_total"
-    cases = _square_cases(C, objs, counter, "strict_epi", "strict_mono", along_mono, "into")
-    for bad in _map_cases(_pullback_case, C, cases, jobs):
-        if bad is not None:
-            return AuditEntry(name, "fail", _witness(C, epi=bad[0], along=bad[1]))
-    return AuditEntry(name, "pass")
+def _audit_pullback_stability(
+    C, objs: list, counter, jobs: int, name: str, key: str, restricted=None
+) -> AuditEntry:
+    """Pullbacks of strict epis e along maps g with the same codomain.
 
-
-def _audit_pushout_stability(C, objs: list, counter, jobs: int, along_epi=None) -> AuditEntry:
-    """Pushouts of strict monos along strict epis, or along every map when
-    ``along_epi`` (the restricted audit's entry) is given."""
-    name = "mono_pushout_along_epi" if along_epi is None else "mono_pushout_total"
-    cases = _square_cases(C, objs, counter, "strict_mono", "strict_epi", along_epi, "source")
-    for bad in _map_cases(_pushout_case, C, cases, jobs):
-        if bad is not None:
-            return AuditEntry(name, "fail", _witness(C, mono=bad[0], along=bad[1]))
-    return AuditEntry(name, "pass")
-
-
-def _square_cases(C, objs, counter, flag: str, along: str, restricted, end: str) -> list:
-    """The pairs (f, g) of a ``flag`` map f and a map g with the same
-    codomain (``end="into"``) or domain (``end="source"``), object by object.
-
-    Without ``restricted`` g runs over the ``along`` maps; with it (the
+    Without ``restricted`` g runs over the strict monos; with it (the
     restricted audit's entry) over every map.  If that audit passed, the
-    pairs whose g is an ``along`` map are its cases, known to pass: they are
-    charged to the budget in the one tick, but not returned.
+    pairs whose g is a strict mono are its cases, known to pass: they are
+    charged to the budget in the one tick, but not built.  On
+    ``_Opposite(C)`` this audits pushouts of strict monos in C.  A failure's
+    witness names e by ``key`` and g by ``along``.
     """
     cases, charged = [], 0
     for Z in objs:
-        others = _maps(C, objs, along if restricted is None else None, **{end: Z})
+        others = _maps(C, objs, "strict_mono" if restricted is None else None, into=Z)
         todo = others
         if restricted is not None and restricted.verdict == "pass":
-            todo = [g for g in others if not getattr(C.strictness(g), along)]
-        for f in _maps(C, objs, flag, **{end: Z}):
+            todo = [g for g in others if not C.strictness(g).strict_mono]
+        for e in _maps(C, objs, "strict_epi", into=Z):
             charged += len(others)
-            cases += [(f, g) for g in todo]
+            cases += [(e, g) for g in todo]
     counter.tick(charged)
-    return cases
+    for bad in _map_cases(_pullback_case, C, cases, jobs):
+        if bad is not None:
+            return AuditEntry(name, "fail", _witness(C, **{key: bad[0], "along": bad[1]}))
+    return AuditEntry(name, "pass")
 
 
-def _audit_obscure_left(C, objs: list, counter) -> AuditEntry:
+def _audit_obscure_left(C, objs: list, counter, name: str, keys: tuple) -> AuditEntry:
+    """Left obscure axiom: j o i a strict mono forces i to be one.
+
+    On ``_Opposite(C)`` this is the right obscure axiom of C.  A failure's
+    witness names i and j by ``keys``.
+    """
     for Y in objs:
         for X in objs:
             for i in C.morphisms(X, Y):
@@ -507,30 +538,8 @@ def _audit_obscure_left(C, objs: list, counter) -> AuditEntry:
                     for j in C.morphisms(Y, Z):
                         counter.tick()
                         if C.strictness(C.compose(j, i)).strict_mono:
-                            return AuditEntry(
-                                "left_obscure", "fail", _witness(C, first=i, second=j)
-                            )
-    return AuditEntry("left_obscure", "pass")
-
-
-def _audit_obscure_right(C, objs: list, counter) -> AuditEntry:
-    for Y in objs:
-        for Z in objs:
-            for e in C.morphisms(Y, Z):
-                if C.strictness(e).strict_epi:
-                    continue
-                if not C.is_epi(e):
-                    # e o j is then no epi, so no strict epi: count, don't compose
-                    _tick_homs(counter, C, [(X, Y) for X in objs])
-                    continue
-                for X in objs:
-                    for j in C.morphisms(X, Y):
-                        counter.tick()
-                        if C.strictness(C.compose(e, j)).strict_epi:
-                            return AuditEntry(
-                                "right_obscure", "fail", _witness(C, second=e, first=j)
-                            )
-    return AuditEntry("right_obscure", "pass")
+                            return AuditEntry(name, "fail", _witness(C, **{keys[0]: i, keys[1]: j}))
+    return AuditEntry(name, "pass")
 
 
 def _tick_homs(counter, C, ends: list) -> None:
@@ -544,19 +553,7 @@ def _tick_homs(counter, C, ends: list) -> None:
 
 
 def _pullback_case(C, case):
-    e, g = case
-    square = C.pullback(e, g)
-    if C.strictness(square.p2).strict_epi:
-        return None
-    return case
-
-
-def _pushout_case(C, case):
-    i, g = case
-    square = C.pushout(i, g)
-    if C.strictness(square.j2).strict_mono:
-        return None
-    return case
+    return None if C.strictness(C.pullback(*case).p2).strict_epi else case
 
 
 def _map_cases(fn: Callable, C, cases: list, jobs: int):

@@ -47,7 +47,7 @@ from .ortho import orthogonalize, quotient_norm
 from .pointed_sets import FinPointedSet, counterexample_suite, is_strict_epi_map, is_strict_mono_map
 from .randgen import random_bounded_map, random_space, random_vector
 from .scalars import MAG_ONE, Magnitude, PAdicRationals, PrimeField, format_magnitude
-from .spaces import bounded_map, operator_norm, rescale
+from .spaces import basis_vector, bounded_map, operator_norm, rescale
 
 DEFAULT_SEED = 20240801
 
@@ -221,8 +221,6 @@ def _cmd_compute(args):
     for i, stage in enumerate(col.stages):
         basis_norms = []
         for j in range(stage.dim):
-            from .spaces import basis_vector
-
             v = basis_vector(stage, j)
             basis_norms.append(format_magnitude(col.colimit_norm(i, v)))
         stage_norms.append(basis_norms)
@@ -437,10 +435,7 @@ def main(argv=None) -> int:
             NotSpanning, UnboundedError, SolverUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FuelExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except BudgetExceeded as exc:
+    except (FuelExhausted, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     report = ser.make_report(args.command, _options_of(args), result)

@@ -71,30 +71,14 @@ def _complement(ob: OrthoBasis) -> tuple[int, ...]:
     return tuple(d for d in range(ob.ambient.dim) if d not in used)
 
 
-@dataclass(frozen=True)
-class CokernelPresentation:
-    space: WeightedSpace
-    projection: BoundedMap
-    image_basis: OrthoBasis
-    complement: tuple[int, ...]
-
-
-def cokernel_presentation(f: BoundedMap) -> CokernelPresentation:
+def cokernel(f: BoundedMap) -> tuple[WeightedSpace, BoundedMap]:
+    """Quotient by the image with the quotient semi-norm (attained infimum)."""
     ob = image(f)
     complement = _complement(ob)
     space = WeightedSpace(f.codomain.field, tuple(f.codomain.weights[d] for d in complement))
-    rows = []
     residuals = [ob.residual(basis_vector(f.codomain, c)) for c in range(f.codomain.dim)]
-    for d in complement:
-        rows.append([residuals[c].coords[d] for c in range(f.codomain.dim)])
-    proj = bounded_map(f.codomain, space, rows, check=False)
-    return CokernelPresentation(space, proj, ob, complement)
-
-
-def cokernel(f: BoundedMap) -> tuple[WeightedSpace, BoundedMap]:
-    """Quotient by the image with the quotient semi-norm (attained infimum)."""
-    pres = cokernel_presentation(f)
-    return pres.space, pres.projection
+    rows = [[r.coords[d] for r in residuals] for d in complement]
+    return space, bounded_map(f.codomain, space, rows, check=False)
 
 
 def image_presentation(f: BoundedMap) -> tuple[WeightedSpace, BoundedMap]:

@@ -39,9 +39,6 @@ class WeightedModuleCategory(CategoryInstance):
 
     name = "weighted-modules"
 
-    def bounds_descriptor(self) -> dict:
-        return {"kind": "weighted", "field": repr(self.field)}
-
     def zero_object(self) -> WeightedSpace:
         return WeightedSpace(self.field, ())
 
@@ -232,8 +229,3 @@ class FinWeightedVec(WeightedModuleCategory):
                     coords[i] = F.add(coords[i], F.mul(a, c))
             result.add(tuple(coords))
         return result
-
-
-def enumerate_morphisms(instance: FinWeightedVec, X: WeightedSpace, Y: WeightedSpace):
-    """Complete, duplicate-free list of non-expanding maps X -> Y."""
-    return instance.morphisms(X, Y)

@@ -157,7 +157,7 @@ class FinPointedSet(CategoryInstance):
 
     def compose(self, g: PointedMap, f: PointedMap) -> PointedMap:
         if f.cod != g.dom:
-            raise InvariantViolation("maps do not compose")
+            raise NotComposable("maps do not compose")
         return PointedMap(f.dom, g.cod, tuple(g(f(x)) for x in f.dom.elements))
 
     def dom(self, f: PointedMap) -> PointedSet:
@@ -224,7 +224,7 @@ class FinPointedSet(CategoryInstance):
 
     def pullback(self, f: PointedMap, g: PointedMap) -> _PSetPullback:
         if f.cod != g.cod:
-            raise InvariantViolation("pullback needs a common codomain")
+            raise NotComposable("pullback needs a common codomain")
         pairs = [(0, 0)]
         pairs += [
             (x, y)
@@ -239,7 +239,7 @@ class FinPointedSet(CategoryInstance):
 
     def pushout(self, i: PointedMap, g: PointedMap) -> _PSetPushout:
         if i.dom != g.dom:
-            raise InvariantViolation("pushout needs a common domain")
+            raise NotComposable("pushout needs a common domain")
         # node 0 is the base, 1..n the elements of i's target and n+1..n+m those
         # of g's; every parent link points to a smaller node, so each root is
         # the smallest node of its class

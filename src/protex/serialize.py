@@ -11,8 +11,7 @@ import json
 from typing import Any
 
 from . import __version__
-from .category import AuditReport, CategoryInstance
-from .constructions import MorphismClassification
+from .category import CategoryInstance
 from .errors import InvariantViolation, ParseError
 from .factorization import FactorizationCertificate, FactorizationStep
 from .finvec import FinWeightedVec, WeightedModuleCategory
@@ -177,10 +176,6 @@ def parse_map(data: Any, path: str = "map") -> BoundedMap:
 # ---------------------------------------------------------------------------
 
 
-def classification_to_json(record: MorphismClassification) -> dict:
-    return record.as_dict()
-
-
 def ortho_to_json(ob: OrthoBasis) -> dict:
     return {
         "ambient": space_to_json(ob.ambient),
@@ -190,10 +185,6 @@ def ortho_to_json(ob: OrthoBasis) -> dict:
         "null_vectors": [vector_to_json(v) for v in ob.null_vectors],
         "null_pivots": list(ob.null_pivots),
     }
-
-
-def audit_report_to_json(report: AuditReport) -> dict:
-    return report.as_dict()
 
 
 # ---------------------------------------------------------------------------

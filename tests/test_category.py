@@ -188,6 +188,22 @@ class TestValidateSes:
             validate_ses(CW, ShortExactSequence(identity_map(A), identity_map(B)))
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: FinPointedSet(2), lambda: FinWeightedVec(F2, (E0,), max_dim=2)], ids=["pointed", "finvec"]
+)
+def test_mismatched_legs_are_not_composable(make):
+    """Identities of two different objects share no object to compose or glue along."""
+    C = make()
+    X, Y = C.objects()[1:3]
+    f, g = C.identity(X), C.identity(Y)
+    with pytest.raises(NotComposable):
+        C.compose(g, f)
+    with pytest.raises(NotComposable):
+        C.pullback(f, g)
+    with pytest.raises(NotComposable):
+        C.pushout(f, g)
+
+
 class TestUniversalProperties:
     def test_kernel_universal_property_enumerated(self):
         C = FinWeightedVec(F2, (E0, E1), max_dim=1)

@@ -16,8 +16,8 @@ from protex.category import (
     AuditEntry,
     Strictness,
     _audit_obscure_left,
-    _audit_obscure_right,
     _Budget,
+    _Opposite,
     _witness,
     audit_obscure,
 )
@@ -57,6 +57,18 @@ def reference_right(C, objs, counter):
     return AuditEntry("right_obscure", "pass")
 
 
+def audit_left(C, objs, counter):
+    return _audit_obscure_left(C, objs, counter, "left_obscure", ("first", "second"))
+
+
+def audit_right(C, objs, counter):
+    """The right audit: the left one run on the opposite category."""
+    return _audit_obscure_left(_Opposite(C), objs, counter, "right_obscure", ("second", "first"))
+
+
+SIDES = [(audit_left, reference_left), (audit_right, reference_right)]
+
+
 def finvec(**kw):
     return FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2, **kw)
 
@@ -78,9 +90,7 @@ def all_maps(C):
     return [f for X in objs for Y in objs for f in C.morphisms(X, Y)]
 
 
-@pytest.mark.parametrize(
-    "audit, reference", [(_audit_obscure_left, reference_left), (_audit_obscure_right, reference_right)]
-)
+@pytest.mark.parametrize("audit, reference", SIDES)
 def test_each_side_matches_reference(instance, audit, reference):
     C = instance
     objs = C.objects()
@@ -127,9 +137,7 @@ LOW = WeightedSpace(PrimeField(2), (MAG_ONE, MAG_ONE))
 HIGH = WeightedSpace(PrimeField(2), (Magnitude.of(1), Magnitude.of(1)))
 
 
-@pytest.mark.parametrize(
-    "audit, reference", [(_audit_obscure_left, reference_left), (_audit_obscure_right, reference_right)]
-)
+@pytest.mark.parametrize("audit, reference", SIDES)
 def test_failing_pairs_past_the_skip_are_found(audit, reference):
     C = LyingFinVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2)
     objs = C.objects()
@@ -155,9 +163,7 @@ def outcome(audit, C, budget):
     "hom_budget, budget",
     [(2, 32), (4, None), (4, 0), (4, 200), (4, 350), (4, 1000), (16, None), (16, 200)],
 )
-@pytest.mark.parametrize(
-    "audit, reference", [(_audit_obscure_left, reference_left), (_audit_obscure_right, reference_right)]
-)
+@pytest.mark.parametrize("audit, reference", SIDES)
 def test_hom_cap_and_budget_fire_in_reference_order(audit, reference, hom_budget, budget):
     # each side gets fresh instances, so the hom-set cap fires on first enumeration
     expected = outcome(reference, finvec(hom_budget=hom_budget), budget)
@@ -201,5 +207,5 @@ def test_skipped_factors_compose_nothing(monkeypatch):
     monkeypatch.setattr(
         FinPointedSet, "compose", lambda self, g, f: calls.append(1) or original(self, g, f)
     )
-    assert _audit_obscure_left(C, C.objects(), _Budget(None)).verdict == "pass"
+    assert audit_left(C, C.objects(), _Budget(None)).verdict == "pass"
     assert calls == []
