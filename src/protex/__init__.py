@@ -17,7 +17,6 @@ from .scalars import (
     ValuedField,
     format_magnitude,
     mag_compare,
-    mag_mul,
     parse_magnitude,
 )
 from .spaces import (

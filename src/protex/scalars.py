@@ -6,6 +6,13 @@ closed under multiplication, division and max/min, which is what every
 downstream construction (subspace norms, quotient norms, operator norms,
 attained infima) actually uses.  No floating point anywhere.
 
+An integral exponent is stored as an ``int`` and any other as a
+``Fraction`` in lowest terms, so the common case (every p-adic absolute
+value, every integer weight) multiplies and hashes without ``Fraction``
+arithmetic; ``hash(n) == hash(Fraction(n))``, so both forms hash and
+compare alike.  Products, quotients, parsed magnitudes and absolute values
+that are integer powers are interned: one shared object per exponent.
+
 Fields come with an exact absolute value into magnitudes:
 
 * rationals with the p-adic absolute value, ``|x| = g^(-v_p(x))``;
@@ -33,7 +40,7 @@ from typing import Any, Iterator
 class Magnitude:
     """Zero or ``g^exponent`` for a rational exponent; totally ordered."""
 
-    exponent: Fraction | None  # None encodes the zero magnitude
+    exponent: int | Fraction | None  # None encodes the zero magnitude
 
     @staticmethod
     def zero() -> "Magnitude":
@@ -41,7 +48,8 @@ class Magnitude:
 
     @staticmethod
     def of(exponent) -> "Magnitude":
-        return Magnitude(Fraction(exponent))
+        q = Fraction(exponent)
+        return Magnitude(q.numerator if q.denominator == 1 else q)
 
     @property
     def is_zero(self) -> bool:
@@ -75,25 +83,38 @@ class Magnitude:
     def __mul__(self, other: "Magnitude") -> "Magnitude":
         if self.exponent is None or other.exponent is None:
             return MAG_ZERO
-        return Magnitude(self.exponent + other.exponent)
+        return _magnitude(self.exponent + other.exponent)
 
     def __truediv__(self, other: "Magnitude") -> "Magnitude":
         if other.exponent is None:
             raise ZeroDivisionError("division of a magnitude by zero")
         if self.exponent is None:
             return MAG_ZERO
-        return Magnitude(self.exponent - other.exponent)
+        return _magnitude(self.exponent - other.exponent)
 
     def __repr__(self) -> str:
         return f"Magnitude({format_magnitude(self)!r})"
 
 
 MAG_ZERO = Magnitude(None)
-MAG_ONE = Magnitude(Fraction(0))
+MAG_ONE = Magnitude(0)
 
-# g^e for an integer exponent e, shared by every p-adic absolute value;
-# magnitudes are immutable values, so one object per exponent is safe
+# g^e for an integer exponent e, one shared object per exponent;
+# magnitudes are immutable values, so sharing them is safe
 _INT_MAGNITUDES: dict[int, Magnitude] = {0: MAG_ONE}
+
+
+def _magnitude(exponent: int | Fraction) -> Magnitude:
+    """``g^exponent``, with an integral exponent stored as an interned int power."""
+    if type(exponent) is not int:
+        if exponent.denominator != 1:
+            return Magnitude(exponent)
+        exponent = exponent.numerator
+    try:
+        return _INT_MAGNITUDES[exponent]
+    except KeyError:
+        _INT_MAGNITUDES[exponent] = mag = Magnitude(exponent)
+        return mag
 
 
 def mag_compare(a: Magnitude, b: Magnitude) -> int:
@@ -102,10 +123,6 @@ def mag_compare(a: Magnitude, b: Magnitude) -> int:
     if x is None or y is None:
         return (x is not None) - (y is not None)
     return (x > y) - (x < y)
-
-
-def mag_mul(a: Magnitude, b: Magnitude) -> Magnitude:
-    return a * b
 
 
 def format_magnitude(m: Magnitude) -> str:
@@ -122,7 +139,17 @@ def parse_magnitude(text: str) -> Magnitude:
         return MAG_ZERO
     if not s.startswith("g^"):
         raise ValueError(f"magnitude must be '0' or 'g^<rational>', got {text!r}")
-    return Magnitude(Fraction(s[2:]))
+    return _magnitude(_parse_rational(s[2:]))
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a value too long to be written back as text."""
+    q = Fraction(text)
+    try:
+        str(q)
+    except ValueError as exc:  # the interpreter's limit on int-to-str digits
+        raise ValueError("number too long to write back as text") from exc
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +157,36 @@ def parse_magnitude(text: str) -> Magnitude:
 # ---------------------------------------------------------------------------
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (the least strong pseudoprime to all of them); the first 12 alone are
+# fooled by 318665857834031151167461 = 399165290221 * 798330580441
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ``ValueError`` where it is not exact."""
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"cannot decide primality at or above {_PRIME_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -235,7 +284,7 @@ class _RationalOps:
         return not a
 
     def parse_element(self, text: str) -> Fraction:
-        return Fraction(text.strip())
+        return _parse_rational(text.strip())
 
     def format_element(self, a) -> str:
         return str(Fraction(a))
@@ -255,12 +304,7 @@ class PAdicRationals(_RationalOps, ValuedField):
         num = a.numerator
         if not num:
             return MAG_ZERO
-        e = padic_valuation(a.denominator, self.p) - padic_valuation(num, self.p)
-        try:
-            return _INT_MAGNITUDES[e]
-        except KeyError:
-            _INT_MAGNITUDES[e] = mag = Magnitude.of(e)
-            return mag
+        return _magnitude(padic_valuation(a.denominator, self.p) - padic_valuation(num, self.p))
 
     def random_element(self, rng, allow_zero: bool = True) -> Fraction:
         if allow_zero and rng.random() < 0.15:

@@ -395,3 +395,5 @@ def load_json_file(path: str) -> Any:
         raise ParseError(path, f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise ParseError(path, "number too long to read") from exc

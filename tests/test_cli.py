@@ -399,6 +399,51 @@ class TestExitContract:
         assert code == 3
         assert "audit budget 0 exceeded" in err
 
+    def test_weight_too_long_to_print_exits_2(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", dict(FINVEC_INSTANCE, weights=["g^0", "g^1e5000"]))
+        code, _, err = run_main(["audit", "--instance", inst], capsys)
+        assert code == 2
+        assert "instance.weights[1]: number too long" in err
+
+    def test_entry_too_long_to_print_exits_2(self, tmp_path, capsys):
+        # the kernel of (10^5000, 1) is spanned by (1, -10^5000), which the report would print
+        f = {
+            "domain": space_json(["g^0", "g^0"]),
+            "codomain": space_json(["g^0"]),
+            "matrix": [["1e5000", "1"]],
+        }
+        argv = ["compute", "kernel", "--map", write(tmp_path, "f.json", f)]
+        code, _, err = run_main([*argv, "--output", str(tmp_path / "out.json")], capsys)
+        assert code == 2
+        assert "map.matrix[0][0]: number too long" in err
+
+    def test_json_integer_too_long_to_read_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text('{"kind": "finvec", "p": ' + "1" * 5000 + ', "weights": ["g^0"]}')
+        code, _, err = run_main(["audit", "--instance", str(path)], capsys)
+        assert code == 2
+        assert "number too long to read" in err
+
+    @pytest.mark.parametrize("p", [3317044064679887385961981, 10**40 + 1])
+    def test_prime_beyond_the_exact_test_exits_2(self, tmp_path, capsys, p):
+        inst = write(tmp_path, "inst.json", dict(FINVEC_INSTANCE, p=p))
+        code, _, err = run_main(["audit", "--instance", inst], capsys)
+        assert code == 2
+        assert "instance.p: cannot decide primality" in err
+
+    def test_large_prime_is_decided_at_once(self, tmp_path):
+        # trial division up to sqrt(p) ran for minutes; Miller-Rabin answers at once,
+        # and the hom-set guard then stops the enumeration over F_p (exit 3)
+        inst = write(tmp_path, "inst.json", dict(FINVEC_INSTANCE, p=10**18 + 3))
+        proc = subprocess.run(
+            [sys.executable, "-m", "protex.cli", "audit", "--instance", inst],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "hom-set of more than" in proc.stderr
+
 
 _JUNK = st.one_of(
     st.none(),

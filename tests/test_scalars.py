@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 from protex import (
     MAG_ONE,
     MAG_ZERO,
+    FinWeightedVec,
     Magnitude,
     PAdicRationals,
     PrimeField,
     TrivialRationals,
+    audit_axioms,
+    audit_obscure,
     format_magnitude,
     mag_compare,
-    mag_mul,
     parse_magnitude,
 )
+from protex.scalars import _is_prime
 
 magnitudes = st.one_of(
     st.just(MAG_ZERO),
@@ -41,9 +44,9 @@ class TestMagnitude:
         assert mag_compare(Magnitude.of(Fraction(1, 2)), Magnitude.of(Fraction(1, 3))) == 1
 
     def test_multiplication_basics(self):
-        assert mag_mul(MAG_ONE, Magnitude.of(Fraction(7, 3))) == Magnitude.of(Fraction(7, 3))
-        assert mag_mul(MAG_ZERO, Magnitude.of(7)) == MAG_ZERO
-        assert mag_mul(Magnitude.of(Fraction(1, 2)), Magnitude.of(Fraction(1, 3))) == Magnitude.of(
+        assert MAG_ONE * Magnitude.of(Fraction(7, 3)) == Magnitude.of(Fraction(7, 3))
+        assert MAG_ZERO * Magnitude.of(7) == MAG_ZERO
+        assert Magnitude.of(Fraction(1, 2)) * Magnitude.of(Fraction(1, 3)) == Magnitude.of(
             Fraction(5, 6)
         )
 
@@ -73,6 +76,8 @@ class TestMagnitude:
         assert format_magnitude(Magnitude.of(Fraction(2, 4))) == "g^1/2"
         assert format_magnitude(Magnitude.of(-3)) == "g^-3"
         assert parse_magnitude("g^-3") == Magnitude.of(-3)
+        assert format_magnitude(parse_magnitude("g^2/2")) == "g^1"
+        assert format_magnitude(parse_magnitude("g^-4/6")) == "g^-2/3"
         with pytest.raises(ValueError):
             parse_magnitude("3")
 
@@ -197,3 +202,118 @@ class TestTrivialAndPrimeFields:
         Q = PAdicRationals(3)
         for s in ["-4/9", "5", "0"]:
             assert Q.format_element(Q.parse_element(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# Exponent representation: int when integral, interned, same values as Fraction
+# ---------------------------------------------------------------------------
+
+exponents = st.one_of(st.integers(-20, 20), st.fractions(min_value=-20, max_value=20))
+# operands in every form a caller can build, including a Fraction with denominator 1
+operands = st.one_of(
+    st.just(MAG_ZERO),
+    exponents.map(Magnitude.of),
+    exponents.map(lambda q: Magnitude(Fraction(q))),
+)
+
+
+def assert_normal(m, q):
+    """``m`` is g^q in normal form: int exponent exactly when q is integral."""
+    q = Fraction(q)
+    assert (type(m.exponent) is int) == (q.denominator == 1)
+    ref = Magnitude(q)
+    assert m == ref and hash(m) == hash(ref)
+    assert format_magnitude(m) == format_magnitude(ref)
+    assert repr(m) == repr(ref)
+    if q.denominator == 1:
+        # one shared object per integer exponent, whichever path built it
+        assert m is parse_magnitude(f"g^{q.numerator}")
+        assert m is Magnitude.of(q) * MAG_ONE
+
+
+class TestExponentRepresentation:
+    @given(operands, operands)
+    def test_products_and_quotients(self, a, b):
+        prod = a * b
+        if a.is_zero or b.is_zero:
+            assert prod is MAG_ZERO
+        else:
+            assert_normal(prod, Fraction(a.exponent) + Fraction(b.exponent))
+        if not b.is_zero:
+            quot = a / b
+            if a.is_zero:
+                assert quot is MAG_ZERO
+            else:
+                assert_normal(quot, Fraction(a.exponent) - Fraction(b.exponent))
+
+    @given(st.integers(-40, 40), st.integers(1, 12))
+    def test_parsed_magnitudes(self, num, den):
+        assert_normal(parse_magnitude(f"g^{num}/{den}"), Fraction(num, den))
+
+    @given(st.sampled_from([2, 3, 5]), padic_scalars.filter(lambda x: x != 0))
+    def test_absolute_values(self, p, x):
+        q = Fraction(x)
+        v = trial_division_valuation(q.numerator, p) - trial_division_valuation(q.denominator, p)
+        assert_normal(PAdicRationals(p).abs_value(x), -v)
+
+    def test_of_normalizes_into_a_fresh_object(self):
+        assert type(MAG_ONE.exponent) is int
+        m = Magnitude.of(Fraction(4, 2))
+        assert type(m.exponent) is int and m.exponent == 2
+        assert m is not Magnitude.of(2) and m == Magnitude.of(2)
+        assert type(Magnitude.of(Fraction(1, 2)).exponent) is Fraction
+
+    def test_audits_do_no_fraction_arithmetic(self, monkeypatch):
+        # every weight and absolute value here is an integer power of g
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__hash__"):
+            original = getattr(Fraction, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        C = FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2)
+        reports = [audit_axioms(C), audit_obscure(C)]
+        assert all(report.entries for report in reports)
+        assert calls == []
+
+
+# the last three have no prime factor below 43, so no base divides them
+CARMICHAEL = [561, 1105, 1729, 41041, 5394826801, 294409, 56052361, 118901521]
+# strong pseudoprimes to the first 4, 9 and 12 primes
+STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
+LARGE_PRIMES = [
+    2**31 - 1,
+    10**12 + 39,
+    2**61 - 1,
+    10**18 + 3,
+    2**71 + 11,
+    3317044064679887385961813,  # the largest prime below the exact bound
+]
+
+
+class TestIsPrime:
+    def test_against_sympy_below_1e5(self):
+        sympy = pytest.importorskip("sympy")
+        assert [n for n in range(-5, 10**5) if _is_prime(n)] == list(sympy.primerange(10**5))
+
+    def test_composites_that_fool_weaker_tests(self):
+        sympy = pytest.importorskip("sympy")
+        for n in [*CARMICHAEL, *STRONG_PSEUDOPRIMES]:
+            assert not sympy.isprime(n)
+            assert not _is_prime(n), n
+
+    def test_large_primes(self):
+        sympy = pytest.importorskip("sympy")
+        for n in LARGE_PRIMES:
+            assert sympy.isprime(n)
+            assert _is_prime(n), n
+
+    def test_refuses_where_not_exact(self):
+        for n in (3317044064679887385961981, 10**30, 2**127 - 1):
+            with pytest.raises(ValueError, match="cannot decide primality"):
+                _is_prime(n)
+        with pytest.raises(ValueError):
+            PAdicRationals(2**127 - 1)
