@@ -105,7 +105,11 @@ class CategoryInstance(ABC):
     def is_zero_morphism(self, f: Mor) -> bool:
         return f == self.zero_morphism(self.dom(f), self.cod(f))
 
-    # enumeration; only the finite instances provide these
+    # description and enumeration; only the finite instances provide these
+    def describe(self) -> dict:
+        """The instance JSON that ``serialize.parse_instance`` reads back."""
+        raise SolverUnavailable(f"{self.name} has no instance description")
+
     def objects(self) -> list[Obj]:
         raise SolverUnavailable(f"{self.name} cannot enumerate objects")
 
@@ -162,19 +166,22 @@ class CategoryInstance(ABC):
 def classify_strictness(C: CategoryInstance, f: Mor) -> Strictness:
     """Strictness from kernel-cokernel comparison maps.
 
-    f is a strict epi iff the induced map Coker(Ker(f) -> X) -> Y is an
-    isomorphism, and dually for strict monos.
+    f is a strict mono iff it is a kernel of its cokernel, and a strict
+    epi iff it is a cokernel of its kernel.
     """
-    _, k = C.kernel(f)
-    _, q = C.cokernel(k)
-    u = C.factor_through_cokernel(q, f)
-    strict_epi = u is not None and C.is_iso(u)
+    return Strictness(_is_kernel(C, f, C.cokernel(f)[1]), _is_cokernel(C, f, C.kernel(f)[1]))
 
-    _, c = C.cokernel(f)
-    _, k2 = C.kernel(c)
-    v = C.factor_through_kernel(k2, f)
-    strict_mono = v is not None and C.is_iso(v)
-    return Strictness(strict_mono, strict_epi)
+
+def _is_kernel(C: CategoryInstance, f: Mor, g: Mor) -> bool:
+    """The comparison from dom f to Ker g exists and is an iso."""
+    v = C.factor_through_kernel(C.kernel(g)[1], f)
+    return v is not None and C.is_iso(v)
+
+
+def _is_cokernel(C: CategoryInstance, g: Mor, f: Mor) -> bool:
+    """The comparison from Coker f to cod g exists and is an iso."""
+    u = C.factor_through_cokernel(C.cokernel(f)[1], g)
+    return u is not None and C.is_iso(u)
 
 
 @dataclass(frozen=True)
@@ -197,13 +204,9 @@ def validate_ses(C: CategoryInstance, ses: ShortExactSequence) -> SesVerdict:
     gf = C.compose(g, f)
     if not C.is_zero_morphism(gf):
         return SesVerdict(False, "compose_nonzero")
-    _, k = C.kernel(g)
-    v = C.factor_through_kernel(k, f)
-    if v is None or not C.is_iso(v):
+    if not _is_kernel(C, f, g):
         return SesVerdict(False, "first_map_not_kernel")
-    _, q = C.cokernel(f)
-    u = C.factor_through_cokernel(q, g)
-    if u is None or not C.is_iso(u):
+    if not _is_cokernel(C, g, f):
         return SesVerdict(False, "second_map_not_cokernel")
     return SesVerdict(True)
 
@@ -461,11 +464,7 @@ class _Opposite:
 
 
 def _bounds_of(C, budget) -> dict:
-    bounds = {"budget": budget}
-    describe = getattr(C, "bounds_descriptor", None)
-    if describe is not None:
-        bounds.update(describe())
-    return bounds
+    return {"budget": budget, **C.describe()}
 
 
 def _audit_identities(C, objs: list, counter) -> AuditEntry:

@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (result dict, summary lines, exit code)
+# Command implementations: each returns (result dict, summary lines)
 # ---------------------------------------------------------------------------
 
 
@@ -170,7 +170,7 @@ def _cmd_compute(args):
         space, mor = kernel(f) if op == "kernel" else cokernel(f)
         result = {"space": ser.space_to_json(space), "map": ser.map_to_json(mor)}
         lines = [f"{op}: dimension {space.dim}"]
-        return result, lines, EXIT_OK
+        return result, lines
     if op in ("pullback", "pushout"):
         f = ser.parse_map(ser.load_json_file(_require(args, "map_path", "--map")), "map")
         g = ser.parse_map(ser.load_json_file(_require(args, "map2_path", "--map2")), "map2")
@@ -188,7 +188,7 @@ def _cmd_compute(args):
                 "j1": ser.map_to_json(square.j1),
                 "j2": ser.map_to_json(square.j2),
             }
-        return result, [f"{op}: dimension {square.space.dim}"], EXIT_OK
+        return result, [f"{op}: dimension {square.space.dim}"]
     if op in ("quotient-norm", "orthogonalize"):
         space = ser.parse_space(ser.load_json_file(_require(args, "space_path", "--space")))
         sub_raw = ser.load_json_file(_require(args, "sub_path", "--sub"))
@@ -197,20 +197,13 @@ def _cmd_compute(args):
         gens = [ser.parse_vector(v, space, f"sub[{i}]") for i, v in enumerate(sub_raw)]
         basis = orthogonalize(space, gens)
         if op == "orthogonalize":
-            return (
-                {"basis": ser.ortho_to_json(basis)},
-                [f"orthogonalize: rank {len(basis.vectors)}, null rank {len(basis.null_vectors)}"],
-                EXIT_OK,
-            )
+            ranks = f"rank {len(basis.vectors)}, null rank {len(basis.null_vectors)}"
+            return {"basis": ser.ortho_to_json(basis)}, [f"orthogonalize: {ranks}"]
         vec = ser.parse_vector(
             ser.load_json_file(_require(args, "vector_path", "--vector")), space, "vector"
         )
-        value = quotient_norm(basis, vec)
-        return (
-            {"quotient_norm": format_magnitude(value)},
-            [f"quotient norm: {format_magnitude(value)}"],
-            EXIT_OK,
-        )
+        value = format_magnitude(quotient_norm(basis, vec))
+        return {"quotient_norm": value}, [f"quotient norm: {value}"]
     #  colimit
     chain_raw = ser.load_json_file(_require(args, "chain_path", "--chain"))
     if not isinstance(chain_raw, list) or not chain_raw:
@@ -229,7 +222,7 @@ def _cmd_compute(args):
         "cocone": [ser.map_to_json(m) for m in col.cocone],
         "stage_basis_colimit_norms": stage_norms,
     }
-    return result, [f"colimit: dimension {col.colimit.dim}"], EXIT_OK
+    return result, [f"colimit: dimension {col.colimit.dim}"]
 
 
 def _cmd_classify(args):
@@ -240,7 +233,7 @@ def _cmd_classify(args):
         "operator_norm": format_magnitude(operator_norm(f)),
     }
     flags = ", ".join(k for k, v in record.as_dict().items() if v) or "none"
-    return result, [f"classification: {flags}"], EXIT_OK
+    return result, [f"classification: {flags}"]
 
 
 def _cmd_audit(args):
@@ -251,20 +244,20 @@ def _cmd_audit(args):
         reports.append(audit_obscure(C, budget=args.budget))
     entries = [e for r in reports for e in r.entries]
     result = {
-        "instance": ser.instance_to_json(C),
+        "instance": C.describe(),
         "bounds": report.bounds,
         "passed": all(r.passed for r in reports),
         "entries": [e.as_dict() for e in entries],
     }
     lines = [f"{e.axiom}: {e.verdict}" for e in entries]
-    return result, lines, EXIT_OK
+    return result, lines
 
 
 def _cmd_counterexamples(args):
     report = counterexample_suite()
     result = report.as_dict()
     lines = [f"{e.axiom}: {e.verdict}" for e in report.entries]
-    return result, lines, EXIT_OK
+    return result, lines
 
 
 def _load_generators(args, C) -> GeneratingSet:
@@ -288,7 +281,7 @@ def _cmd_factor(args):
             "certificate": ser.certificate_to_json(C, cert),
         }
         lines = [f"factored in {len(cert.steps)} steps; right leg RLP verified"]
-        return result, lines, EXIT_OK
+        return result, lines
     X = ser.parse_object(C, ser.load_json_file(_require(args, "object_path", "--object")))
     if args.mode == "preenvelope":
         res = special_preenvelope(C, X, G, args.fuel, args.budget)
@@ -303,7 +296,7 @@ def _cmd_factor(args):
             f"preenvelope in {len(res.certificate.steps)} steps; "
             f"admissible mono: {res.mono_admissible}"
         ]
-        return result, lines, EXIT_OK
+        return result, lines
     res = precover(C, X, G, args.fuel, args.budget)
     result = {
         "mode": "precover",
@@ -315,7 +308,7 @@ def _cmd_factor(args):
         f"precover in {len(res.certificate.steps)} steps; "
         f"hom-surjective: {res.hom_surjective}"
     ]
-    return result, lines, EXIT_OK
+    return result, lines
 
 
 def _cmd_verify_cert(args):
@@ -324,7 +317,7 @@ def _cmd_verify_cert(args):
     cert = ser.parse_certificate(C, ser.load_json_file(args.cert_path), len(G.generators))
     ok = cert.replay(C, G)
     result = {"replayed": ok, "steps": len(cert.steps)}
-    return result, [f"certificate replay: {'pass' if ok else 'fail'}"], EXIT_OK
+    return result, [f"certificate replay: {'pass' if ok else 'fail'}"]
 
 
 def _cmd_oracle_check(args):
@@ -404,7 +397,7 @@ def _cmd_oracle_check(args):
     lines = [
         f"{c['check']}: {c['cases']} cases, {c['mismatches']} mismatches" for c in checks
     ]
-    return result, lines, EXIT_OK
+    return result, lines
 
 
 _HANDLERS = {
@@ -430,7 +423,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        result, lines, code = handler(args)
+        result, lines = handler(args)
     except (ParseError, InvariantViolation, NotComposable, NotNonExpanding,
             NotSpanning, UnboundedError, SolverUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -452,7 +445,7 @@ def main(argv=None) -> int:
     else:
         for line in lines:
             print(line)
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

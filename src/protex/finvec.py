@@ -138,7 +138,7 @@ class FinWeightedVec(WeightedModuleCategory):
         # hom-sets are finite; lifting problems are answered by enumeration
         return False, False
 
-    def bounds_descriptor(self) -> dict:
+    def describe(self) -> dict:
         return {
             "kind": "finvec",
             "p": self.field.p,
@@ -191,20 +191,10 @@ class FinWeightedVec(WeightedModuleCategory):
         for g in sub_generators:
             if g.space != space:
                 raise InvariantViolation("subspace generator outside the ambient space")
-        best = None
-        coords_m = m.coords
-        gens = [g.coords for g in sub_generators]
-        for coeffs in itertools.product(range(F.p), repeat=len(gens)):
-            coords = list(coords_m)
-            for a, g in zip(coeffs, gens):
-                if a == 0:
-                    continue
-                for i, c in enumerate(g):
-                    coords[i] = F.add(coords[i], F.mul(a, c))
-            n = norm(Vector(space, tuple(coords)))
-            if best is None or n < best:
-                best = n
-        return best if best is not None else norm(m)
+        return min(
+            norm(Vector(space, tuple(F.add(a, b) for a, b in zip(m.coords, s))))
+            for s in self._span(sub_generators, space)
+        )
 
     def subspaces(self, space: WeightedSpace) -> list[tuple[Vector, ...]]:
         """Generator tuples for every distinct subspace (by brute enumeration)."""

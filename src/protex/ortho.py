@@ -14,8 +14,9 @@ A pivot's value is the row's norm at selection time and later
 eliminations only subtract vectors of no larger norm whose pivot
 coordinates the row does not touch, so the pivot term stays the maximal
 coordinate term.  Rows whose remaining entries all sit at weight-zero
-coordinates can never be selected; they are reduced separately by plain
-Gaussian elimination and returned as the null part of the basis.
+coordinates can never be selected; afterwards each of them, in row order,
+pivots on its first non-zero entry by the same normalize-and-eliminate
+step, and they form the null part of the basis.
 
 The exclusive-pivot certificate (each basis vector owns a coordinate at
 which all other rows vanish) is what makes quotient norms exact: the
@@ -116,14 +117,19 @@ def orthogonalize(space: WeightedSpace, generators) -> OrthoBasis:
         if not g.is_zero:
             rows.append(list(g.coords))
     live = list(range(len(rows)))  # original indices of unprocessed rows
-    processed: list[tuple[int, list]] = []  # (pivot coordinate, row)
+    done: list[tuple[int, list]] = []  # (pivot coordinate, row), null rows last
 
-    def eliminate(pivot: int, prow: list, skip_row: list):
-        for _, row in processed:
-            _reduce_row(F, row, pivot, prow)
+    def pivot_on(c: int, row: list):
+        """Normalize row[c] to one and clear coordinate c from every other row."""
+        inv = F.div(F.one, row[c])
+        for i in range(len(row)):
+            row[i] = F.mul(inv, row[i])
+        for _, other in done:
+            _reduce_row(F, other, c, row)
         for idx in live:
-            if rows[idx] is not skip_row:
-                _reduce_row(F, rows[idx], pivot, prow)
+            if rows[idx] is not row:
+                _reduce_row(F, rows[idx], c, row)
+        done.append((c, row))
 
     while True:
         best = None  # (magnitude, coord, original row index)
@@ -142,39 +148,19 @@ def orthogonalize(space: WeightedSpace, generators) -> OrthoBasis:
         if best is None:
             break
         _, c, idx = best
-        row = rows[idx]
-        inv = F.div(F.one, row[c])
-        for i in range(len(row)):
-            row[i] = F.mul(inv, row[i])
         live.remove(idx)
-        eliminate(c, row, row)
-        processed.append((c, row))
+        pivot_on(c, rows[idx])
 
-    # leftover rows are supported on weight-zero coordinates; reduce them
-    null_rows: list[tuple[int, list]] = []
+    # leftover rows are supported on weight-zero coordinates: each pivots on
+    # its first non-zero entry, in row order
+    weighted = len(done)
     for idx in live:
-        row = rows[idx]
-        pivot = None
-        for c, entry in enumerate(row):
-            if not F.is_zero(entry):
-                pivot = c
-                break
-        if pivot is None:
-            continue
-        inv = F.div(F.one, row[pivot])
-        for i in range(len(row)):
-            row[i] = F.mul(inv, row[i])
-        for _, prow in processed:
-            _reduce_row(F, prow, pivot, row)
-        for _, nrow in null_rows:
-            _reduce_row(F, nrow, pivot, row)
-        for other in live:
-            if rows[other] is not row:
-                _reduce_row(F, rows[other], pivot, row)
-        null_rows.append((pivot, row))
+        c = next((c for c, entry in enumerate(rows[idx]) if not F.is_zero(entry)), None)
+        if c is not None:
+            pivot_on(c, rows[idx])
 
-    processed.sort(key=lambda pr: pr[0])
-    null_rows.sort(key=lambda pr: pr[0])
+    processed = sorted(done[:weighted], key=lambda pr: pr[0])
+    null_rows = sorted(done[weighted:], key=lambda pr: pr[0])
     return OrthoBasis(
         ambient=space,
         vectors=tuple(Vector(space, tuple(r)) for _, r in processed),

@@ -94,7 +94,6 @@ def _hom_set(ends: tuple[PointedSet, PointedSet]) -> tuple[PointedMap, ...]:
 
 @dataclass(frozen=True)
 class _PSetPullback:
-    instance: "FinPointedSet"
     space: PointedSet
     pairs: tuple[tuple[int, int], ...]
     p1: PointedMap
@@ -119,7 +118,6 @@ class _PSetPullback:
 
 @dataclass(frozen=True)
 class _PSetPushout:
-    instance: "FinPointedSet"
     space: PointedSet
     j1: PointedMap
     j2: PointedMap
@@ -146,7 +144,7 @@ class FinPointedSet(CategoryInstance):
 
     name = "finite-pointed-sets"
 
-    def bounds_descriptor(self) -> dict:
+    def describe(self) -> dict:
         return {"kind": "pointed", "max_size": self.max_size}
 
     def zero_object(self) -> PointedSet:
@@ -235,7 +233,7 @@ class FinPointedSet(CategoryInstance):
         P = PointedSet(len(pairs) - 1)
         p1 = PointedMap(P, f.dom, tuple(x for x, _ in pairs))
         p2 = PointedMap(P, g.dom, tuple(y for _, y in pairs))
-        return _PSetPullback(self, P, tuple(pairs), p1, p2)
+        return _PSetPullback(P, tuple(pairs), p1, p2)
 
     def pushout(self, i: PointedMap, g: PointedMap) -> _PSetPushout:
         if i.dom != g.dom:
@@ -269,7 +267,7 @@ class FinPointedSet(CategoryInstance):
         Q = PointedSet(count - 1)
         j1 = PointedMap(i.cod, Q, tuple(label[: n + 1]))
         j2 = PointedMap(g.cod, Q, (0, *label[n + 1 :]))
-        return _PSetPushout(self, Q, j1, j2)
+        return _PSetPushout(Q, j1, j2)
 
     def describe_object(self, X: PointedSet) -> dict:
         return {"size": X.size}
@@ -350,4 +348,4 @@ def counterexample_suite() -> AuditReport:
     left = audit_obscure(small).entry("left_obscure")
     entries.append(AuditEntry("left_obscure_holds", left.verdict, left.witness))
 
-    return AuditReport(C.name, {"kind": "pointed", "max_size": 4}, tuple(entries))
+    return AuditReport(C.name, C.describe(), tuple(entries))

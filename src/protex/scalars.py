@@ -25,6 +25,8 @@ field object supplies the arithmetic, so matrices stay lightweight.
 
 from __future__ import annotations
 
+import re
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,10 +43,6 @@ class Magnitude:
     """Zero or ``g^exponent`` for a rational exponent; totally ordered."""
 
     exponent: int | Fraction | None  # None encodes the zero magnitude
-
-    @staticmethod
-    def zero() -> "Magnitude":
-        return Magnitude(None)
 
     @staticmethod
     def of(exponent) -> "Magnitude":
@@ -142,8 +140,25 @@ def parse_magnitude(text: str) -> Magnitude:
     return _magnitude(_parse_rational(s[2:]))
 
 
+# the exponent part of a decimal text, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, refusing a value too long to be written back as text."""
+    """``Fraction(text)``, refusing a value too long to be written back as text.
+
+    ``Fraction`` builds ``10**|e|`` for an exponent part e.  Its mantissa has
+    at most ``limit`` digits (the interpreter's digit limit) on each side of
+    the point, so a non-zero value with ``|e| >= 2 * limit`` always has a
+    numerator or denominator too long to write back.  Such a text is refused
+    before the power is built; a zero mantissa reads as zero whatever e is.
+    """
+    exp = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exp and limit and abs(int(exp[1])) >= 2 * limit:
+        text = text[: exp.start()] + "e0"
+        if Fraction(text):
+            raise ValueError("number too long to write back as text")
     q = Fraction(text)
     try:
         str(q)
@@ -250,10 +265,6 @@ class ValuedField(ABC):
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
-
-    @property
-    def finite(self) -> bool:
-        return False
 
     def elements(self) -> Iterator[Any]:
         raise NotImplementedError(f"{self!r} is not enumerable")
@@ -388,10 +399,6 @@ class PrimeField(ValuedField):
 
     def random_element(self, rng, allow_zero: bool = True) -> int:
         return rng.randrange(0 if allow_zero else 1, self.p)
-
-    @property
-    def finite(self) -> bool:
-        return True
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))

@@ -192,21 +192,6 @@ def ortho_to_json(ob: OrthoBasis) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def instance_to_json(C: CategoryInstance) -> dict:
-    if isinstance(C, FinWeightedVec):
-        return {
-            "kind": "finvec",
-            "p": C.field.p,
-            "weights": [format_magnitude(w) for w in C.weights],
-            "max_dim": C.max_dim,
-        }
-    if isinstance(C, FinPointedSet):
-        return {"kind": "pointed", "max_size": C.max_size}
-    if isinstance(C, WeightedModuleCategory):
-        return {"kind": "weighted", "field": field_to_json(C.field)}
-    raise InvariantViolation(f"unknown instance {C!r}")
-
-
 def parse_instance(data: Any, path: str = "instance") -> CategoryInstance:
     kind = _need(data, "kind", path)
     if kind == "finvec":
@@ -224,50 +209,38 @@ def parse_instance(data: Any, path: str = "instance") -> CategoryInstance:
             parse_magnitude_str(w, f"{path}.weights[{i}]")
             for i, w in enumerate(weights_raw)
         )
-        max_dim = data.get("max_dim", 2)
-        if not isinstance(max_dim, int) or max_dim < 0:
-            raise ParseError(f"{path}.max_dim", "dimension bound must be a non-negative integer")
-        return FinWeightedVec(field, weights, max_dim)
+        return FinWeightedVec(field, weights, _count(data.get("max_dim", 2), f"{path}.max_dim"))
     if kind == "pointed":
-        max_size = data.get("max_size", 4)
-        if not isinstance(max_size, int) or max_size < 0:
-            raise ParseError(f"{path}.max_size", "size bound must be a non-negative integer")
-        return FinPointedSet(max_size)
+        return FinPointedSet(_count(data.get("max_size", 4), f"{path}.max_size"))
     if kind == "weighted":
         return WeightedModuleCategory(parse_field(_need(data, "field", path), f"{path}.field"))
     raise ParseError(f"{path}.kind", f"unknown instance kind {kind!r}")
 
 
-def morphism_to_json(C: CategoryInstance, f: Any) -> dict:
-    if isinstance(f, BoundedMap):
-        return map_to_json(f)
-    if isinstance(f, PointedMap):
-        return {"dom": f.dom.size, "cod": f.cod.size, "images": list(f.images)}
-    raise InvariantViolation(f"cannot serialize morphism {f!r}")
+def morphism_to_json(C: CategoryInstance, f: Any) -> Any:
+    # a bounded map is written self-contained, with its field and labels
+    return map_to_json(f) if isinstance(f, BoundedMap) else C.describe_morphism(f)
 
 
 def parse_morphism(C: CategoryInstance, data: Any, path: str = "morphism") -> Any:
     if isinstance(C, WeightedModuleCategory):
         return parse_map(data, path)
     if isinstance(C, FinPointedSet):
-        dom = _need(data, "dom", path)
-        cod = _need(data, "cod", path)
+        dom = _count(_need(data, "dom", path), f"{path}.dom")
+        cod = _count(_need(data, "cod", path), f"{path}.cod")
         images = _need(data, "images", path)
         if not isinstance(images, list):
             raise ParseError(f"{path}.images", "expected a list of integers")
+        images = tuple(_count(y, f"{path}.images[{i}]") for i, y in enumerate(images))
         try:
-            return PointedMap(PointedSet(dom), PointedSet(cod), tuple(images))
+            return PointedMap(PointedSet(dom), PointedSet(cod), images)
         except InvariantViolation as exc:
             raise ParseError(path, str(exc)) from exc
     raise ParseError(path, f"cannot parse a morphism for instance {C.name}")
 
 
 def object_to_json(C: CategoryInstance, X: Any) -> Any:
-    if isinstance(X, WeightedSpace):
-        return space_to_json(X)
-    if isinstance(X, PointedSet):
-        return {"size": X.size}
-    raise InvariantViolation(f"cannot serialize object {X!r}")
+    return space_to_json(X) if isinstance(X, WeightedSpace) else C.describe_object(X)
 
 
 def parse_object(C: CategoryInstance, data: Any, path: str = "object") -> Any:
@@ -282,9 +255,7 @@ def parse_object(C: CategoryInstance, data: Any, path: str = "object") -> Any:
             raise ParseError(f"{path}.weights", "weight outside the instance weight set")
         return space
     if isinstance(C, FinPointedSet):
-        size = _need(data, "size", path)
-        if not isinstance(size, int) or size < 0:
-            raise ParseError(f"{path}.size", "size must be a non-negative integer")
+        size = _count(_need(data, "size", path), f"{path}.size")
         if size > C.max_size:
             raise ParseError(f"{path}.size", f"size {size} exceeds max_size {C.max_size}")
         return PointedSet(size)
@@ -328,28 +299,21 @@ def parse_certificate(
         raise ParseError(f"{path}.steps", "expected a list of steps")
     steps = []
     for i, s in enumerate(steps_raw):
-        idx = _need(s, "generator_index", f"{path}.steps[{i}]")
-        if not _is_count(idx):
-            raise ParseError(f"{path}.steps[{i}].generator_index", "expected an index")
+        at = f"{path}.steps[{i}]"
+        idx = _count(_need(s, "generator_index", at), f"{at}.generator_index")
         if idx >= generator_count:
             raise ParseError(
-                f"{path}.steps[{i}].generator_index",
+                f"{at}.generator_index",
                 f"index {idx} out of range for {generator_count} generators",
             )
-        steps.append(
-            FactorizationStep(
-                idx,
-                parse_morphism(C, _need(s, "attach", f"{path}.steps[{i}]"), f"{path}.steps[{i}].attach"),
-                parse_morphism(C, _need(s, "cell", f"{path}.steps[{i}]"), f"{path}.steps[{i}].cell"),
-                parse_morphism(C, _need(s, "step_mono", f"{path}.steps[{i}]"), f"{path}.steps[{i}].step_mono"),
-            )
-        )
+        legs = [
+            parse_morphism(C, _need(s, k, at), f"{at}.{k}") for k in ("attach", "cell", "step_mono")
+        ]
+        steps.append(FactorizationStep(idx, *legs))
     rlp = data.get("rlp_verified", False)
     if not isinstance(rlp, bool):
         raise ParseError(f"{path}.rlp_verified", "expected true or false")
-    problems = data.get("problems_checked", 0)
-    if not _is_count(problems):
-        raise ParseError(f"{path}.problems_checked", "expected a non-negative integer")
+    problems = _count(data.get("problems_checked", 0), f"{path}.problems_checked")
     return FactorizationCertificate(
         parse_morphism(C, _need(data, "factored", path), f"{path}.factored"),
         parse_morphism(C, _need(data, "left", path), f"{path}.left"),
@@ -360,8 +324,11 @@ def parse_certificate(
     )
 
 
-def _is_count(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _count(value: Any, path: str) -> int:
+    """A non-negative integer field; booleans, floats and strings are refused."""
+    if type(value) is not int or value < 0:
+        raise ParseError(path, "expected a non-negative integer")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -444,6 +445,58 @@ class TestExitContract:
         assert proc.returncode == 3, proc.stderr
         assert "hom-set of more than" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "instance, obj, path",
+        [
+            ({"kind": "pointed", "max_size": True}, {"size": 1}, "instance.max_size"),
+            (dict(FINVEC_INSTANCE, max_dim=True), space_json(["g^1"], {"trivial": "F2"}), "instance.max_dim"),
+            ({"kind": "pointed", "max_size": 2}, {"size": True}, "object.size"),
+            ({"kind": "pointed", "max_size": 2}, {"size": 1.0}, "object.size"),
+            ({"kind": "pointed", "max_size": 2}, {"size": "1"}, "object.size"),
+        ],
+    )
+    def test_non_integer_counts_exit_2(self, tmp_path, capsys, instance, obj, path):
+        argv = ["factor", "--instance", write(tmp_path, "inst.json", instance)]
+        code, out, err = run_main([*argv, "--object", write(tmp_path, "x.json", obj)], capsys)
+        assert code == 2
+        assert f"{path}: expected a non-negative integer" in err
+        assert not out
+
+    @pytest.mark.parametrize("image", ["a", 1.0, True])
+    def test_non_integer_generator_images_exit_2(self, tmp_path, capsys, image):
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})
+        gens = write(tmp_path, "gens.json", [{"dom": 1, "cod": 2, "images": [0, image]}])
+        argv = ["factor", "--instance", inst, "--object", write(tmp_path, "x.json", {"size": 1})]
+        code, _, err = run_main([*argv, "--generators", gens], capsys)
+        assert code == 2
+        assert "generators[0].images[1]: expected a non-negative integer" in err
+
+    def test_non_integer_certificate_size_exits_2(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})
+        leg = {"dom": 0, "cod": 1, "images": [0]}
+        step = {"generator_index": 0, "attach": dict(leg, dom="a"), "cell": leg, "step_mono": leg}
+        cert = {"steps": [step], "factored": leg, "left": leg, "right": leg}
+        argv = ["verify-cert", "--instance", inst, "--cert", write(tmp_path, "cert.json", cert)]
+        code, _, err = run_main(argv, capsys)
+        assert code == 2
+        assert "certificate.steps[0].attach.dom: expected a non-negative integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["weight", "entry"])
+    def test_huge_exponent_exits_2_at_once(self, tmp_path, capsys, field):
+        # Fraction would build 10**100000000 before any check could see it
+        if field == "weight":
+            inst = write(tmp_path, "inst.json", dict(FINVEC_INSTANCE, weights=["g^1e100000000"]))
+            argv = ["audit", "--instance", inst]
+        else:
+            f = {"domain": space_json(["g^0"]), "codomain": space_json(["g^0"]), "matrix": [["1e100000000"]]}
+            argv = ["classify", "--map", write(tmp_path, "f.json", f)]
+        start = time.perf_counter()
+        code, _, err = run_main(argv, capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert "number too long to write back" in err
+
 
 _JUNK = st.one_of(
     st.none(),
@@ -521,6 +574,67 @@ def test_malformed_instances_keep_the_exit_contract(tmp_path, capsys, instance, 
         argv += ["--object", write(tmp_path, "x.json", obj)]
     if budget is not None:
         argv += ["--budget", str(budget)]
+    code, _, _ = run_main(argv, capsys)
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3)
+
+
+_COUNTS = _weighted((6, st.integers(-1, 3)), (1, _JUNK))
+
+
+@st.composite
+def _pointed_maps(draw):
+    """A pointed map between small sets, with up to one field dropped or replaced."""
+    dom, cod = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    tail = draw(st.lists(st.integers(0, cod), min_size=dom, max_size=dom))
+    data = {"dom": dom, "cod": cod, "images": [0, *tail]}
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=1)):
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(_COUNTS | st.lists(_COUNTS, max_size=3))
+    return data
+
+
+@st.composite
+def _pointed_certificates(draw):
+    """Certificate fields drawn independently, with up to one of them dropped."""
+    leg = _pointed_maps()
+    step = st.fixed_dictionaries(
+        {"generator_index": _COUNTS, "attach": leg, "cell": leg, "step_mono": leg}
+    )
+    cert = {
+        "steps": draw(st.lists(step, max_size=2)),
+        "factored": draw(leg),
+        "left": draw(leg),
+        "right": draw(leg),
+        "rlp_verified": draw(st.booleans() | _JUNK),
+        "problems_checked": draw(_COUNTS),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(cert)), max_size=1)):
+        del cert[key]
+    return cert
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    generators=st.none() | _weighted((4, st.lists(_pointed_maps(), max_size=2)), (1, _JUNK)),
+    f=_pointed_maps(),
+    cert=_weighted((4, _pointed_certificates()), (1, _JUNK)),
+    command=st.sampled_from(["factor", "verify-cert"]),
+)
+def test_malformed_pointed_inputs_keep_the_exit_contract(tmp_path, capsys, generators, f, cert, command):
+    argv = [command, "--instance", write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})]
+    if generators is not None:
+        argv += ["--generators", write(tmp_path, "gens.json", generators)]
+    if command == "factor":
+        argv += ["--mode", "map", "--map", write(tmp_path, "f.json", f), "--fuel", "5"]
+    else:
+        argv += ["--cert", write(tmp_path, "cert.json", cert)]
     code, _, _ = run_main(argv, capsys)
     event(f"{command} exit {code}")
     assert code in (0, 2, 3)

@@ -11,6 +11,7 @@ from protex import (
     OrthoBasis,
     PAdicRationals,
     PrimeField,
+    TrivialRationals,
     WeightedSpace,
     basis_vector,
     norm,
@@ -130,6 +131,99 @@ class TestOrthogonalize:
             oracle = f2_span_norms(sp, gens)
             reproduced = f2_span_norms(sp, list(ob.vectors + ob.null_vectors))
             assert oracle == reproduced
+
+
+def two_phase_orthogonalize(space, generators):
+    """The former two-phase loop, kept as a reference for the shared pivot step.
+
+    Weighted pivots are chosen by the largest |entry| * weight; rows left on
+    weight-zero coordinates are then reduced by plain Gaussian elimination.
+    """
+    F = space.field
+    rows = [list(g.coords) for g in generators if not g.is_zero]
+    live = list(range(len(rows)))
+    processed = []
+
+    def reduce_row(row, pivot, prow):
+        factor = F.div(row[pivot], prow[pivot])
+        if not F.is_zero(factor):
+            for i in range(len(row)):
+                row[i] = F.sub(row[i], F.mul(factor, prow[i]))
+
+    while True:
+        best = None
+        for idx in live:
+            for c, entry in enumerate(rows[idx]):
+                if F.is_zero(entry):
+                    continue
+                mag = F.abs_value(entry) * space.weights[c]
+                if mag.is_zero:
+                    continue
+                key = (mag, -c, -idx)
+                if best is None or (key[0] > best[0][0]) or (
+                    key[0] == best[0][0] and key[1:] > best[0][1:]
+                ):
+                    best = (key, c, idx)
+        if best is None:
+            break
+        _, c, idx = best
+        row = rows[idx]
+        inv = F.div(F.one, row[c])
+        for i in range(len(row)):
+            row[i] = F.mul(inv, row[i])
+        live.remove(idx)
+        for _, prow in processed:
+            reduce_row(prow, c, row)
+        for other in live:
+            reduce_row(rows[other], c, row)
+        processed.append((c, row))
+
+    null_rows = []
+    for idx in live:
+        row = rows[idx]
+        pivot = next((c for c, entry in enumerate(row) if not F.is_zero(entry)), None)
+        if pivot is None:
+            continue
+        inv = F.div(F.one, row[pivot])
+        for i in range(len(row)):
+            row[i] = F.mul(inv, row[i])
+        for _, prow in processed + null_rows:
+            reduce_row(prow, pivot, row)
+        for other in live:
+            if rows[other] is not row:
+                reduce_row(rows[other], pivot, row)
+        null_rows.append((pivot, row))
+
+    processed.sort(key=lambda pr: pr[0])
+    null_rows.sort(key=lambda pr: pr[0])
+    return OrthoBasis(
+        ambient=space,
+        vectors=tuple(Vector(space, tuple(r)) for _, r in processed),
+        pivots=tuple(p for p, _ in processed),
+        null_vectors=tuple(Vector(space, tuple(r)) for _, r in null_rows),
+        null_pivots=tuple(p for p, _ in null_rows),
+    )
+
+
+class TestTwoPhaseReference:
+    @pytest.mark.parametrize(
+        "field", [Q2, PAdicRationals(3), TrivialRationals(), F2, PrimeField(3)], ids=str
+    )
+    def test_same_basis_as_the_two_phase_loop(self, field):
+        rng = random.Random(f"ortho-reference-{field}")
+        null_bases = 0
+        for _ in range(120):
+            sp = random_space(field, rng, 4, allow_null=True)
+            gens = [random_vector(sp, rng) for _ in range(rng.randint(0, sp.dim + 1))]
+            if gens and rng.random() < 0.5:
+                # a dependent generator and a zero one
+                a, b = rng.choice(gens), rng.choice(gens)
+                gens.append(add_vectors(a, scale_vector(field.random_element(rng), b)))
+                gens.insert(rng.randint(0, len(gens)), zero_vector(sp))
+            ob = orthogonalize(sp, gens)
+            assert ob == two_phase_orthogonalize(sp, gens)
+            null_bases += bool(ob.null_vectors)
+        assert null_bases >= 10
 
 
 class TestQuotientNorm:

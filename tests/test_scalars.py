@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from protex import (
     mag_compare,
     parse_magnitude,
 )
-from protex.scalars import _is_prime
+from protex.scalars import _is_prime, _parse_rational
 
 magnitudes = st.one_of(
     st.just(MAG_ZERO),
@@ -317,3 +319,45 @@ class TestIsPrime:
                 _is_prime(n)
         with pytest.raises(ValueError):
             PAdicRationals(2**127 - 1)
+
+
+def _verdict(read, text):
+    """The text form of ``read(text)``, or None where it is refused."""
+    try:
+        return str(read(text))
+    except ValueError:
+        return None
+
+
+LIMIT = sys.get_int_max_str_digits()
+# a non-zero mantissa with as many leading decimal zeros as the limit allows
+TINY = "0." + "0" * (LIMIT - 1) + "1"
+
+
+class TestExponentNotation:
+    """Reading exponent notation gives Fraction's verdict, without its 10**|e|."""
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize(
+        "exponent", [LIMIT - 1, LIMIT, LIMIT + 1, 2 * LIMIT - 1, 2 * LIMIT, 2 * LIMIT + 1]
+    )
+    def test_same_verdict_as_fraction(self, exponent, sign):
+        for mantissa in ["1", "-7", "0.5", "12_3.25", "0", "0.000", TINY]:
+            text = f"{mantissa}e{sign}{exponent}"
+            assert _verdict(_parse_rational, text) == _verdict(Fraction, text), text[:20]
+
+    def test_tiny_mantissa_reads_just_below_the_cutoff(self):
+        # 10**-LIMIT * 10**(2 * LIMIT - 1) has LIMIT digits: an earlier refusal would be wrong
+        assert len(str(_parse_rational(f"{TINY}e{2 * LIMIT - 1}"))) == LIMIT
+
+    @pytest.mark.parametrize("text", ["1e100000000", "-3.5E-100000000", "g^1e100000000"])
+    def test_huge_exponents_are_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too long to write back"):
+            parse_magnitude(text) if text.startswith("g^") else _parse_rational(text)
+        assert time.perf_counter() - start < 2
+
+    def test_zero_mantissa_reads_as_zero_whatever_the_exponent(self):
+        assert _parse_rational("0.00e100000000") == 0
+        assert _parse_rational("-0e-100000000") == 0
+

@@ -17,7 +17,7 @@ from protex import (
     WeightedSpace,
 )
 from protex.category import admissible_monos
-from protex.errors import InvariantViolation, ParseError
+from protex.errors import InvariantViolation, ParseError, SolverUnavailable
 from protex.factorization import factor_map
 from protex.pointed_sets import PointedMap, PointedSet
 from protex.randgen import random_nonexpanding_map, random_space
@@ -81,12 +81,17 @@ class TestFieldAndSpace:
 
 class TestInstances:
     def test_round_trips(self):
+        # each enumerable instance describes itself as the JSON that parses back to it
         for inst in [
             FinWeightedVec(PrimeField(2), (E0, E1), max_dim=2),
+            FinWeightedVec(PrimeField(3), (E1, Magnitude.of("1/2"), E0), max_dim=1),
             FinPointedSet(3),
-            WeightedModuleCategory(PAdicRationals(5)),
         ]:
-            assert ser.parse_instance(ser.instance_to_json(inst)) == inst
+            assert ser.parse_instance(inst.describe()) == inst
+
+    def test_weighted_instance_has_no_description(self):
+        with pytest.raises(SolverUnavailable):
+            WeightedModuleCategory(PAdicRationals(5)).describe()
 
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
