@@ -12,7 +12,6 @@ witnesses.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ class CategoryInstance(ABC):
     Morphisms are hashable values: ``==`` is morphism equality and equal
     morphisms hash alike, so searches may index them in sets and dicts.
     Objects are compared by identity of presentation.  Implementations
-    must be immutable and safe for concurrent read-only use.
+    must be immutable.
 
     ``strictness`` must be a pure function of the morphism value, memoized
     per instance (with ``_memoized``), so that all callers sharing an
@@ -135,9 +134,7 @@ class CategoryInstance(ABC):
         """compute(key), remembered in this instance's memo table ``table``.
 
         The tables live as long as the instance.  They are not fields, so
-        they take no part in ``==``, hash or repr, and pickling (as for
-        ``--jobs`` pool workers) leaves them behind.  ``compute`` must be
-        pure: concurrent callers may both fill an entry, with equal values.
+        they take no part in ``==``, hash or repr.  ``compute`` must be pure.
         """
         memo = self.__dict__.setdefault("_memo_tables", {}).setdefault(table, {})
         try:
@@ -145,11 +142,6 @@ class CategoryInstance(ABC):
         except KeyError:
             memo[key] = value = compute(key)
             return value
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_memo_tables", None)
-        return state
 
     def describe_object(self, X: Obj) -> Any:
         return repr(X)
@@ -355,7 +347,6 @@ def audit_axioms(
     C: CategoryInstance,
     total: bool = True,
     budget: Optional[int] = None,
-    jobs: int = 1,
 ) -> AuditReport:
     """Exhaustive audit of the proto-exact axioms for the canonical strict class.
 
@@ -378,14 +369,14 @@ def audit_axioms(
         _audit_identities(C, objs, counter),
         _audit_composition(C, objs, counter, "mono_composition", "strict_mono"),
         _audit_composition(C, objs, counter, "epi_composition", "strict_epi"),
-        _audit_pullback_stability(C, objs, counter, jobs, "epi_pullback_along_mono", "epi"),
-        _audit_pullback_stability(op, objs, counter, jobs, "mono_pushout_along_epi", "mono"),
+        _audit_pullback_stability(C, objs, counter, "epi_pullback_along_mono", "epi"),
+        _audit_pullback_stability(op, objs, counter, "mono_pushout_along_epi", "mono"),
     ]
     if total:
         along_mono, along_epi = entries[3:]
         entries += [
-            _audit_pullback_stability(C, objs, counter, jobs, "epi_pullback_total", "epi", along_mono),
-            _audit_pullback_stability(op, objs, counter, jobs, "mono_pushout_total", "mono", along_epi),
+            _audit_pullback_stability(C, objs, counter, "epi_pullback_total", "epi", along_mono),
+            _audit_pullback_stability(op, objs, counter, "mono_pushout_total", "mono", along_epi),
         ]
     return AuditReport(C.name, _bounds_of(C, budget), tuple(entries))
 
@@ -491,7 +482,7 @@ def _audit_composition(C, objs: list, counter, name: str, flag: str) -> AuditEnt
 
 
 def _audit_pullback_stability(
-    C, objs: list, counter, jobs: int, name: str, key: str, restricted=None
+    C, objs: list, counter, name: str, key: str, restricted=None
 ) -> AuditEntry:
     """Pullbacks of strict epis e along maps g with the same codomain.
 
@@ -512,9 +503,9 @@ def _audit_pullback_stability(
             charged += len(others)
             cases += [(e, g) for g in todo]
     counter.tick(charged)
-    for bad in _map_cases(_pullback_case, C, cases, jobs):
-        if bad is not None:
-            return AuditEntry(name, "fail", _witness(C, **{key: bad[0], "along": bad[1]}))
+    for e, g in cases:
+        if not C.strictness(C.pullback(e, g).p2).strict_epi:
+            return AuditEntry(name, "fail", _witness(C, **{key: e, "along": g}))
     return AuditEntry(name, "pass")
 
 
@@ -549,24 +540,3 @@ def _tick_homs(counter, C, ends: list) -> None:
     """
     for X, Y in ends:
         counter.tick(len(C.morphisms(X, Y)))
-
-
-def _pullback_case(C, case):
-    return None if C.strictness(C.pullback(*case).p2).strict_epi else case
-
-
-def _map_cases(fn: Callable, C, cases: list, jobs: int):
-    """Run fn(C, case) over cases, optionally in a process pool; order preserved.
-
-    The pool has at most ``os.cpu_count()`` workers, whatever ``jobs`` asks.
-    """
-    if jobs <= 1 or len(cases) < 64:
-        return (fn(C, case) for case in cases)
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
-
-    workers = min(jobs, os.cpu_count() or 1)
-    chunk = max(8, len(cases) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        results = list(ex.map(partial(fn, C), cases, chunksize=chunk))
-    return iter(results)

@@ -68,11 +68,6 @@ def _count(text: str, least: int = 0) -> int:
     return value
 
 
-def _positive(text: str) -> int:
-    """A positive integer option value (worker counts)."""
-    return _count(text, least=1)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protex",
@@ -90,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="what to print on standard output",
         )
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--jobs", type=_positive, default=1, help="parallelism cap for audits")
+        p.add_argument("--jobs", type=lambda text: _count(text, 1), default=1, help="has no effect")
 
     p = sub.add_parser("compute", help="run one construction and print its presentation")
     p.add_argument(
@@ -238,7 +233,7 @@ def _cmd_classify(args):
 
 def _cmd_audit(args):
     C = ser.parse_instance(ser.load_json_file(args.instance_path))
-    report = audit_axioms(C, total=not args.no_total, budget=args.budget, jobs=args.jobs)
+    report = audit_axioms(C, total=not args.no_total, budget=args.budget)
     reports = [report]
     if args.obscure:
         reports.append(audit_obscure(C, budget=args.budget))
@@ -274,7 +269,7 @@ def _cmd_factor(args):
     C = ser.parse_instance(ser.load_json_file(args.instance_path))
     G = _load_generators(args, C)
     if args.mode == "map":
-        f = ser.parse_morphism(C, ser.load_json_file(_require(args, "map_path", "--map")))
+        f = ser.parse_morphism(C, ser.load_json_file(_require(args, "map_path", "--map")), "map")
         cert = factor_map(C, f, G, args.fuel, args.budget)
         result = {
             "mode": "map",

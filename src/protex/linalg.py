@@ -14,22 +14,6 @@ def identity(F: ValuedField, n: int):
     return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(F: ValuedField, a, b):
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = [[F.zero] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if F.is_zero(aik):
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                oi[j] = F.add(oi[j], F.mul(aik, bk[j]))
-    return out
-
 def mat_vec(F: ValuedField, a, v):
     out = []
     for row in a:
@@ -103,11 +87,6 @@ def echelon_solution(F: ValuedField, red, pivots, n: int, k: int):
     for r, c in enumerate(pivots):
         x[c] = red[r][n:n + k]
     return x
-
-
-def solve(F: ValuedField, a, v):
-    x = solve_matrix(F, a, [[e] for e in v])
-    return None if x is None else [row[0] for row in x]
 
 
 def nullspace(F: ValuedField, a, ncols: int = None):

@@ -75,10 +75,6 @@ class OrthoBasis:
             if not norm(v).is_zero:
                 raise InvariantViolation("null part contains a vector of non-zero norm")
 
-    @property
-    def subspace_dim(self) -> int:
-        return len(self.vectors) + len(self.null_vectors)
-
     def presented_space(self, label=None) -> WeightedSpace:
         weights = tuple(norm(v) for v in self.vectors) + (MAG_ZERO,) * len(self.null_vectors)
         return WeightedSpace(self.ambient.field, weights, label)
@@ -102,9 +98,6 @@ class OrthoBasis:
             for i, c in enumerate(v.coords):
                 coords[i] = F.sub(coords[i], F.mul(factor, c))
         return Vector(self.ambient, tuple(coords))
-
-    def contains(self, m: Vector) -> bool:
-        return self.residual(m).is_zero
 
 
 def orthogonalize(space: WeightedSpace, generators) -> OrthoBasis:

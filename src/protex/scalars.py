@@ -30,7 +30,7 @@ import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,6 @@ class ValuedField(ABC):
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
 
-    def elements(self) -> Iterator[Any]:
-        raise NotImplementedError(f"{self!r} is not enumerable")
-
 
 class _RationalOps:
     """Shared Fraction arithmetic for the two rational-backed fields."""
@@ -399,6 +396,3 @@ class PrimeField(ValuedField):
 
     def random_element(self, rng, allow_zero: bool = True) -> int:
         return rng.randrange(0 if allow_zero else 1, self.p)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))

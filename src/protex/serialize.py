@@ -222,12 +222,15 @@ def morphism_to_json(C: CategoryInstance, f: Any) -> Any:
     return map_to_json(f) if isinstance(f, BoundedMap) else C.describe_morphism(f)
 
 
-def parse_morphism(C: CategoryInstance, data: Any, path: str = "morphism") -> Any:
+def parse_morphism(C: CategoryInstance, data: Any, path: str = "morphism", most=None) -> Any:
+    """A morphism of C; a pointed map's sets have at most ``most`` points
+    besides the base point (``C.max_size`` by default)."""
     if isinstance(C, WeightedModuleCategory):
         return parse_map(data, path)
     if isinstance(C, FinPointedSet):
-        dom = _count(_need(data, "dom", path), f"{path}.dom")
-        cod = _count(_need(data, "cod", path), f"{path}.cod")
+        most = C.max_size if most is None else most
+        dom = _count(_need(data, "dom", path), f"{path}.dom", most)
+        cod = _count(_need(data, "cod", path), f"{path}.cod", most)
         images = _need(data, "images", path)
         if not isinstance(images, list):
             raise ParseError(f"{path}.images", "expected a list of integers")
@@ -293,10 +296,16 @@ def parse_certificate(
     generator_count: int,
     path: str = "certificate",
 ) -> FactorizationCertificate:
-    """Certificate from JSON; each step's index must name one of the generators."""
+    """Certificate from JSON; each step's index must name one of the generators.
+
+    A step attaches one generator codomain, so a pointed leg has at most
+    ``(1 + len(steps)) * max_size`` points; larger ones are refused here,
+    before replay builds any pushout.
+    """
     steps_raw = _need(data, "steps", path)
     if not isinstance(steps_raw, list):
         raise ParseError(f"{path}.steps", "expected a list of steps")
+    most = (1 + len(steps_raw)) * C.max_size if isinstance(C, FinPointedSet) else None
     steps = []
     for i, s in enumerate(steps_raw):
         at = f"{path}.steps[{i}]"
@@ -307,7 +316,8 @@ def parse_certificate(
                 f"index {idx} out of range for {generator_count} generators",
             )
         legs = [
-            parse_morphism(C, _need(s, k, at), f"{at}.{k}") for k in ("attach", "cell", "step_mono")
+            parse_morphism(C, _need(s, k, at), f"{at}.{k}", most)
+            for k in ("attach", "cell", "step_mono")
         ]
         steps.append(FactorizationStep(idx, *legs))
     rlp = data.get("rlp_verified", False)
@@ -316,18 +326,20 @@ def parse_certificate(
     problems = _count(data.get("problems_checked", 0), f"{path}.problems_checked")
     return FactorizationCertificate(
         parse_morphism(C, _need(data, "factored", path), f"{path}.factored"),
-        parse_morphism(C, _need(data, "left", path), f"{path}.left"),
-        parse_morphism(C, _need(data, "right", path), f"{path}.right"),
+        parse_morphism(C, _need(data, "left", path), f"{path}.left", most),
+        parse_morphism(C, _need(data, "right", path), f"{path}.right", most),
         tuple(steps),
         rlp,
         problems,
     )
 
 
-def _count(value: Any, path: str) -> int:
-    """A non-negative integer field; booleans, floats and strings are refused."""
+def _count(value: Any, path: str, most=None) -> int:
+    """A non-negative integer field, at most ``most``; no booleans, floats or strings."""
     if type(value) is not int or value < 0:
         raise ParseError(path, "expected a non-negative integer")
+    if most is not None and value > most:
+        raise ParseError(path, f"{value} exceeds the bound {most}")
     return value
 
 

@@ -284,25 +284,6 @@ class TestAudits:
         with pytest.raises(BudgetExceeded):
             audit_axioms(C, total=total, budget=n - 1)
 
-    def test_jobs_parallel_matches_serial(self, monkeypatch):
-        import concurrent.futures
-
-        pools = []
-
-        class CountedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-        # 160 along-mono and 767 total cases: above the pool threshold of 64
-        C = FinWeightedVec(F2, (E0, E1), max_dim=2)
-        serial = audit_axioms(C, total=True, jobs=1)
-        assert not pools
-        parallel = audit_axioms(C, total=True, jobs=2)
-        assert pools
-        assert serial.as_dict() == parallel.as_dict()
-
 
 class TestRlp:
     def test_empty_against_is_true(self):

@@ -163,6 +163,19 @@ class TestAuditAndCounterexamples:
         assert entries["left_obscure"] == "pass"
         assert not report["result"]["passed"]
 
+    def test_jobs_has_no_effect(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 3})
+        argv = ["audit", "--obscure", "--instance", inst]
+        reports = []
+        for name, jobs in (("one.json", []), ("three.json", ["--jobs", "3"])):
+            code, out, err = run_main([*argv, *jobs, "--output", str(tmp_path / name)], capsys)
+            assert code == 0 and not err
+            reports.append((out, json.loads((tmp_path / name).read_text())))
+        (out1, report1), (out3, report3) = reports
+        assert out3 == out1
+        assert (report1["options"].pop("jobs"), report3["options"].pop("jobs")) == (1, 3)
+        assert report3 == report1
+
     def test_counterexamples(self, capsys):
         code, out, _ = run_main(["counterexamples"], capsys)
         assert code == 0
@@ -305,6 +318,84 @@ class TestFactorInputValidation:
         assert "admissible mono" not in out
 
 
+def _point_map(dom, cod):
+    """The pointed map P(dom) -> P(cod) that sends everything to the base point."""
+    return {"dom": dom, "cod": cod, "images": [0] * (dom + 1)}
+
+
+def _point_cert(step_mono=None, factored=None):
+    """A one-step pointed certificate of maps out of P(0)."""
+    small = _point_map(0, 0)
+    step = {"generator_index": 0, "attach": small, "cell": small, "step_mono": step_mono or small}
+    return {"steps": [step], "factored": factored or small, "left": small, "right": small}
+
+
+class TestPointedMapBounds:
+    """A pointed map read from input fits the instance: its sets have at most
+    max_size points, or (1 + steps) * max_size for a certificate leg."""
+
+    def run(self, tmp_path, capsys, argv, gens, **files):
+        """``argv`` on pointed max_size 2 with generators ``gens``; one file per flag."""
+        argv = [*argv, "--instance", write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})]
+        argv += ["--generators", write(tmp_path, "gens.json", gens)]
+        for flag, data in files.items():
+            argv += [f"--{flag}", write(tmp_path, f"{flag}.json", data)]
+        return run_main(argv, capsys)
+
+    @pytest.mark.parametrize("key", ["dom", "cod"])
+    def test_generator_beyond_max_size_exits_2(self, tmp_path, capsys, key):
+        gen = _point_map(3, 0) if key == "dom" else _point_map(0, 3)
+        code, out, err = self.run(tmp_path, capsys, ["factor"], [gen], object={"size": 1})
+        assert code == 2 and not out
+        assert f"generators[0].{key}: 3 exceeds the bound 2" in err
+
+    def test_map_beyond_max_size_exits_2(self, tmp_path, capsys):
+        argv = ["factor", "--mode", "map"]
+        code, _, err = self.run(tmp_path, capsys, argv, [_point_map(0, 1)], map=_point_map(0, 3))
+        assert code == 2
+        assert "map.cod: 3 exceeds the bound 2" in err
+
+    def test_factored_map_beyond_max_size_exits_2(self, tmp_path, capsys):
+        cert = _point_cert(factored=_point_map(0, 3))
+        code, _, err = self.run(tmp_path, capsys, ["verify-cert"], [_point_map(0, 1)], cert=cert)
+        assert code == 2
+        assert "certificate.factored.cod: 3 exceeds the bound 2" in err
+
+    def test_certificate_legs_may_grow_by_max_size_per_step(self, tmp_path, capsys):
+        # one step: legs of up to (1 + 1) * 2 = 4 points parse, and replay decides
+        gens = [_point_map(0, 1)]
+        cert = _point_cert(step_mono=_point_map(0, 4))
+        code, out, _ = self.run(tmp_path, capsys, ["verify-cert"], gens, cert=cert)
+        assert code == 0 and "replay: fail" in out
+        cert = _point_cert(step_mono=_point_map(0, 5))
+        code, _, err = self.run(tmp_path, capsys, ["verify-cert"], gens, cert=cert)
+        assert code == 2
+        assert "certificate.steps[0].step_mono.cod: 5 exceeds the bound 4" in err
+
+    @pytest.mark.parametrize("command", ["factor", "verify-cert"])
+    def test_huge_generator_exits_2_at_once(self, tmp_path, command):
+        # unbounded, Hom(P(10**12), Y) and the pushout over P(10**12) would try to
+        # allocate terabytes; the child's address space is capped, so a regression fails fast
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})
+        gens = write(tmp_path, "gens.json", [_point_map(0, 10**12)])
+        argv = [command, "--instance", inst, "--generators", gens]
+        if command == "factor":
+            argv += ["--object", write(tmp_path, "x.json", {"size": 1})]
+        else:
+            argv += ["--cert", write(tmp_path, "cert.json", _point_cert())]
+        capped = (
+            "import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "sys.argv[0] = 'protex'; runpy.run_module('protex.cli', run_name='__main__')"
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2, proc.stderr
+        assert "generators[0].cod: 1000000000000 exceeds the bound 2" in proc.stderr
+
+
 class TestExitContract:
     """Bad input exits 2, whatever form it takes; exhaustion exits 3."""
 
@@ -356,36 +447,6 @@ class TestExitContract:
             main(["audit", "--instance", inst, "--jobs", jobs])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
-
-    def test_jobs_pool_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
-        # a stand-in pool records its size and runs the cases in this process
-        import concurrent.futures
-        import os
-
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cases, chunksize=1):
-                return map(fn, cases)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        # 160 along-mono cases per square audit: enough to reach the pool
-        inst = write(tmp_path, "inst.json", dict(FINVEC_INSTANCE, max_dim=2))
-        argv = ["audit", "--instance", inst, "--no-total"]
-        code, out, _ = run_main([*argv, "--jobs", "100000"], capsys)
-        assert code == 0
-        assert sizes == [3, 3]
-        assert run_main(argv, capsys)[1] == out
 
     @pytest.mark.parametrize("extra", [[], ["--obscure"]])
     def test_non_enumerable_audit_exits_2(self, tmp_path, capsys, extra):

@@ -25,6 +25,11 @@ def brute_rank_f2(rows):
     return rank
 
 
+def mat_mul(a, b):
+    # reference product of rational matrices; b needs at least one row
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
 def test_rank_against_brute_force():
     F = PrimeField(2)
     rng = random.Random(11)
@@ -42,9 +47,9 @@ def test_solve_and_nullspace_rationals():
         a = [[F.random_element(rng) for _ in range(n)] for _ in range(m)]
         x = [F.random_element(rng) for _ in range(n)]
         b = linalg.mat_vec(F, a, x)
-        sol = linalg.solve(F, a, b)
+        sol = linalg.solve_matrix(F, a, [[e] for e in b])
         assert sol is not None
-        assert linalg.mat_vec(F, a, sol) == b
+        assert linalg.mat_vec(F, a, [row[0] for row in sol]) == b
         for v in linalg.nullspace(F, a, ncols=n):
             assert all(e == 0 for e in linalg.mat_vec(F, a, v))
         # nullspace dimension = n - rank
@@ -54,8 +59,8 @@ def test_solve_and_nullspace_rationals():
 def test_solve_detects_inconsistency():
     F = PrimeField(3)
     a = [[1, 0], [1, 0]]
-    assert linalg.solve(F, a, [1, 2]) is None
-    assert linalg.solve(F, a, [2, 2]) is not None
+    assert linalg.solve_matrix(F, a, [[1], [2]]) is None
+    assert linalg.solve_matrix(F, a, [[2], [2]]) is not None
 
 
 def test_inverse():
@@ -71,8 +76,8 @@ def test_inverse():
             continue
         found += 1
         ident = linalg.identity(F, n)
-        assert linalg.mat_mul(F, a, inv) == ident
-        assert linalg.mat_mul(F, inv, a) == ident
+        assert mat_mul(a, inv) == ident
+        assert mat_mul(inv, a) == ident
     assert found > 50
 
 
@@ -97,7 +102,7 @@ def _random_padic_matrices(count):
             inner = rng.randint(0, min(m, n) - 1)
             left = [[F.random_element(rng) for _ in range(inner)] for _ in range(m)]
             right = [[F.random_element(rng) for _ in range(n)] for _ in range(inner)]
-            a = linalg.mat_mul(F, left, right) if inner else [[F.zero] * n for _ in range(m)]
+            a = mat_mul(left, right) if inner else [[F.zero] * n for _ in range(m)]
         else:
             a = [[F.random_element(rng) for _ in range(n)] for _ in range(m)]
         yield F, a, n

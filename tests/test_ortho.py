@@ -92,7 +92,6 @@ class TestOrthogonalize:
         assert len(ob.vectors) == 1 and len(ob.null_vectors) == 2
         for nv in ob.null_vectors:
             assert norm(nv) == MAG_ZERO
-        assert ob.subspace_dim == 3
 
     def test_certificate_is_validated(self):
         X = WeightedSpace(Q2, (E0, E0))
@@ -279,5 +278,5 @@ class TestQuotientNorm:
             r = ob.residual(m)
             # difference lies in the span
             diff = add_vectors(m, scale_vector(Fraction(-1), r))
-            assert ob.contains(diff)
+            assert ob.residual(diff).is_zero
             assert quotient_norm(ob, m) == norm(r)

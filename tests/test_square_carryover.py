@@ -106,12 +106,6 @@ def test_total_audit_matches_reference(case):
         audit_axioms(C, total=True, budget=ticks - 1)
 
 
-@pytest.mark.parametrize("name", ["pointed", "lying-pointed"])  # finvec: see test_category
-def test_parallel_report_matches_serial(name):
-    C = INSTANCES[name]()
-    assert audit_axioms(C, total=True, jobs=2).as_dict() == audit_axioms(C, total=True).as_dict()
-
-
 def test_failed_restricted_audit_is_rescanned():
     C = LyingPointed(max_size=2)
     entries, _ = reference_audit(C)
