@@ -252,24 +252,25 @@ def has_rlp(
 
     Squares are enumerated exhaustively (the instance must be enumerable
     unless its lift solver decides every problem); on failure the first
-    unfillable square is returned as a witness.
+    unfillable square is returned as a witness.  Each square, and each
+    generator the solver decides, is one unit of ``budget``.
     """
-    checked = 0
+    counter = Budget(budget, "lifting")
+    entry = _scan("rlp", counter, _rlp_cases(C, f, against))
+    return RlpResult(entry.verdict == "pass", entry.witness, counter.used)
+
+
+def _rlp_cases(C, f: Mor, against: Iterable[Mor]):
     for g in against:
         decided, ok = C.solve_rlp(f, g)
         if decided:
-            checked += 1
-            if not ok:
-                return RlpResult(False, {"generator": C.describe_morphism(g)}, checked)
+            yield 1, None if ok else {"generator": C.describe_morphism(g)}
             continue
         search = LiftingSearch(C, g, f)
         for u, v in search.squares:
-            checked += 1
-            if budget is not None and checked > budget:
-                raise BudgetExceeded(f"lifting budget {budget} exceeded")
+            yield 1, None  # charged before lifts enumerates the fillers
             if not search.lifts(u, v):
-                return RlpResult(False, _witness(C, generator=g, top=u, bottom=v), checked)
-    return RlpResult(True, None, checked)
+                yield 0, _witness(C, generator=g, top=u, bottom=v)
 
 
 def admissible_monos(C: CategoryInstance) -> list[Mor]:
@@ -362,21 +363,20 @@ def audit_axioms(
     strict mono (epi): those are the restricted cases, known to pass.  They
     are still charged to the budget, so its threshold does not change.
     """
-    objs = C.objects()
-    counter = _Budget(budget)
-    op = _Opposite(C)
+    objs, op = C.objects(), _Opposite(C)
+    counter = Budget(budget, "audit")
     entries = [
-        _audit_identities(C, objs, counter),
-        _audit_composition(C, objs, counter, "mono_composition", "strict_mono"),
-        _audit_composition(C, objs, counter, "epi_composition", "strict_epi"),
-        _audit_pullback_stability(C, objs, counter, "epi_pullback_along_mono", "epi"),
-        _audit_pullback_stability(op, objs, counter, "mono_pushout_along_epi", "mono"),
+        _scan("identity_admissible", counter, _identity_cases(C, objs)),
+        _scan("mono_composition", counter, _composition_cases(C, objs, "strict_mono")),
+        _scan("epi_composition", counter, _composition_cases(C, objs, "strict_epi")),
+        _scan("epi_pullback_along_mono", counter, _pullback_cases(C, objs, "epi")),
+        _scan("mono_pushout_along_epi", counter, _pullback_cases(op, objs, "mono")),
     ]
     if total:
         along_mono, along_epi = entries[3:]
         entries += [
-            _audit_pullback_stability(C, objs, counter, "epi_pullback_total", "epi", along_mono),
-            _audit_pullback_stability(op, objs, counter, "mono_pushout_total", "mono", along_epi),
+            _scan("epi_pullback_total", counter, _pullback_cases(C, objs, "epi", along_mono)),
+            _scan("mono_pushout_total", counter, _pullback_cases(op, objs, "mono", along_epi)),
         ]
     return AuditReport(C.name, _bounds_of(C, budget), tuple(entries))
 
@@ -395,9 +395,9 @@ def audit_obscure(C: CategoryInstance, budget: Optional[int] = None) -> AuditRep
     right audit is the left audit of the opposite category.
     """
     objs = C.objects()
-    counter = _Budget(budget)
-    left = _audit_obscure_left(C, objs, counter, "left_obscure", ("first", "second"))
-    right = _audit_obscure_left(_Opposite(C), objs, counter, "right_obscure", ("second", "first"))
+    counter = Budget(budget, "audit")
+    left = _scan("left_obscure", counter, _obscure_cases(C, objs, ("first", "second")))
+    right = _scan("right_obscure", counter, _obscure_cases(_Opposite(C), objs, ("second", "first")))
     entries = (
         left,
         right,
@@ -407,15 +407,33 @@ def audit_obscure(C: CategoryInstance, budget: Optional[int] = None) -> AuditRep
     return AuditReport(C.name, _bounds_of(C, budget), entries)
 
 
-class _Budget:
-    def __init__(self, limit: Optional[int]):
-        self.limit = limit
-        self.used = 0
+class Budget:
+    """Units of work charged against an optional limit; ``noun`` names it in the error."""
 
-    def tick(self, n: int = 1):
+    def __init__(self, limit: Optional[int], noun: str):
+        self.limit, self.noun, self.used = limit, noun, 0
+
+    def tick(self, n: int = 1) -> None:
+        """Charge n units; past the limit raise ``BudgetExceeded``.  A zero charge never raises."""
         self.used += n
-        if self.limit is not None and self.used > self.limit:
-            raise BudgetExceeded(f"audit budget {self.limit} exceeded")
+        if n and self.limit is not None and self.used > self.limit:
+            raise BudgetExceeded(f"{self.noun} budget {self.limit} exceeded")
+
+
+def _scan(name: str, budget: Budget, cases: Iterable[tuple[int, Optional[dict]]]) -> AuditEntry:
+    """The verdict of one exhaustive check from its case source.
+
+    The source yields ``(charge, witness)`` pairs.  Each charge is ticked
+    before its witness is read; the first witness that is not None fails
+    the check, and the source is not resumed.  A source yields its charges
+    before any work that can raise (a hom-set cap), so errors come in the
+    order of a scan that ticks every case in turn.
+    """
+    for charge, witness in cases:
+        budget.tick(charge)
+        if witness is not None:
+            return AuditEntry(name, "fail", witness)
+    return AuditEntry(name, "pass")
 
 
 # the four flag pairs, indexed [strict_mono][strict_epi]
@@ -458,38 +476,30 @@ def _bounds_of(C, budget) -> dict:
     return {"budget": budget, **C.describe()}
 
 
-def _audit_identities(C, objs: list, counter) -> AuditEntry:
+def _identity_cases(C, objs: list):
     for X in objs:
-        counter.tick()
         s = C.strictness(C.identity(X))
-        if not (s.strict_mono and s.strict_epi):
-            return AuditEntry(
-                "identity_admissible", "fail", {"object": C.describe_object(X)}
-            )
-    return AuditEntry("identity_admissible", "pass")
+        yield 1, None if s.strict_mono and s.strict_epi else {"object": C.describe_object(X)}
 
 
-def _audit_composition(C, objs: list, counter, name: str, flag: str) -> AuditEntry:
-    """Closure under composition of the maps whose strictness has ``flag``."""
+def _composition_cases(C, objs: list, flag: str):
+    """Closure under composition of the maps with ``flag``; one charge per first factor."""
     for Y in objs:
         outgoing = _maps(C, objs, flag, source=Y)
         for f in _maps(C, objs, flag, into=Y):
-            for g in outgoing:
-                counter.tick()
+            for n, g in enumerate(outgoing, 1):
                 if not getattr(C.strictness(C.compose(g, f)), flag):
-                    return AuditEntry(name, "fail", _witness(C, first=f, second=g))
-    return AuditEntry(name, "pass")
+                    yield n, _witness(C, first=f, second=g)
+            yield len(outgoing), None
 
 
-def _audit_pullback_stability(
-    C, objs: list, counter, name: str, key: str, restricted=None
-) -> AuditEntry:
+def _pullback_cases(C, objs: list, key: str, restricted=None):
     """Pullbacks of strict epis e along maps g with the same codomain.
 
     Without ``restricted`` g runs over the strict monos; with it (the
     restricted audit's entry) over every map.  If that audit passed, the
     pairs whose g is a strict mono are its cases, known to pass: they are
-    charged to the budget in the one tick, but not built.  On
+    charged to the budget in the one charge, but not built.  On
     ``_Opposite(C)`` this audits pushouts of strict monos in C.  A failure's
     witness names e by ``key`` and g by ``along``.
     """
@@ -502,41 +512,29 @@ def _audit_pullback_stability(
         for e in _maps(C, objs, "strict_epi", into=Z):
             charged += len(others)
             cases += [(e, g) for g in todo]
-    counter.tick(charged)
+    yield charged, None
     for e, g in cases:
         if not C.strictness(C.pullback(e, g).p2).strict_epi:
-            return AuditEntry(name, "fail", _witness(C, **{key: e, "along": g}))
-    return AuditEntry(name, "pass")
+            yield 0, _witness(C, **{key: e, "along": g})
 
 
-def _audit_obscure_left(C, objs: list, counter, name: str, keys: tuple) -> AuditEntry:
+def _obscure_cases(C, objs: list, keys: tuple):
     """Left obscure axiom: j o i a strict mono forces i to be one.
 
     On ``_Opposite(C)`` this is the right obscure axiom of C.  A failure's
-    witness names i and j by ``keys``.
+    witness names i and j by ``keys``.  Each (i, Hom(Y, Z)) is one charge,
+    taken once that hom-set is enumerated and its pairs are checked.
     """
     for Y in objs:
         for X in objs:
             for i in C.morphisms(X, Y):
                 if C.strictness(i).strict_mono:
                     continue
-                if not C.is_mono(i):
-                    # j o i is then no mono, so no strict mono: count, don't compose
-                    _tick_homs(counter, C, [(Y, Z) for Z in objs])
-                    continue
+                mono = C.is_mono(i)
                 for Z in objs:
-                    for j in C.morphisms(Y, Z):
-                        counter.tick()
+                    homs = C.morphisms(Y, Z)
+                    # j o i is no mono if i is none, so no strict mono: charge, don't compose
+                    for n, j in enumerate(homs if mono else (), 1):
                         if C.strictness(C.compose(j, i)).strict_mono:
-                            return AuditEntry(name, "fail", _witness(C, **{keys[0]: i, keys[1]: j}))
-    return AuditEntry(name, "pass")
-
-
-def _tick_homs(counter, C, ends: list) -> None:
-    """Charge one tick per map of each hom-set, in order, as the full scan would.
-
-    Each hom-set is enumerated before its ticks, so a hom-set cap error
-    and the audit budget fire where they would in the unskipped scan.
-    """
-    for X, Y in ends:
-        counter.tick(len(C.morphisms(X, Y)))
+                            yield n, _witness(C, **{keys[0]: i, keys[1]: j})
+                    yield len(homs), None

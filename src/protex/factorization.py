@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .category import CategoryInstance, LiftingSearch, Mor, Obj
-from .errors import BudgetExceeded, FuelExhausted, InvariantViolation
+from .category import Budget, CategoryInstance, LiftingSearch, Mor, Obj
+from .errors import FuelExhausted, InvariantViolation
 
 fuel_default = 100
 
@@ -80,21 +80,17 @@ def _serialize_for_order(C: CategoryInstance, f: Mor) -> str:
     return json.dumps(C.describe_morphism(f), sort_keys=True)
 
 
-def _first_problem(
-    C: CategoryInstance, r: Mor, G: GeneratingSet, budget: Optional[int], used: list[int]
-):
+def _first_problem(C: CategoryInstance, r: Mor, G: GeneratingSet, budget: Budget):
     """First unfilled lifting problem against the generators, or None.
 
-    Every commuting square of every generator counts against the budget,
+    Every commuting square of every generator is charged to the budget,
     but lifts are tested only up to the first generator with an unfilled
     square, because the generator index leads the problem order.
     """
     first = None
     for a, g in enumerate(G.generators):
         search = LiftingSearch(C, g, r)
-        used[0] += len(search.squares)
-        if search.squares and budget is not None and used[0] > budget:
-            raise BudgetExceeded(f"lifting budget {budget} exceeded")
+        budget.tick(len(search.squares))
         if first is not None:
             continue
         unfilled = [(u, v) for u, v in search.squares if not search.lifts(u, v)]
@@ -118,21 +114,16 @@ def factor_map(
     """
     if fuel < 0:
         raise InvariantViolation("fuel must be non-negative")
-    W = C.dom(f)
-    left = C.identity(W)
+    left = C.identity(C.dom(f))
     right = f
     steps: list[FactorizationStep] = []
-    used = [0]
+    counter = Budget(budget, "lifting")
     while True:
-        problem = _first_problem(C, right, G, budget, used)
+        problem = _first_problem(C, right, G, counter)
         if problem is None:
-            return FactorizationCertificate(
-                f, left, right, tuple(steps), True, used[0]
-            )
+            return FactorizationCertificate(f, left, right, tuple(steps), True, counter.used)
         if len(steps) >= fuel:
-            partial = FactorizationCertificate(
-                f, left, right, tuple(steps), False, used[0]
-            )
+            partial = FactorizationCertificate(f, left, right, tuple(steps), False, counter.used)
             raise FuelExhausted(
                 f"unfilled lifting problems remain after {fuel} steps", partial
             )
@@ -145,7 +136,6 @@ def factor_map(
         steps.append(FactorizationStep(a, u, square.j1, square.j2))
         left = C.compose(square.j2, left)
         right = new_right
-        W = square.space
 
 
 @dataclass(frozen=True)

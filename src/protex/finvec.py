@@ -134,10 +134,6 @@ class FinWeightedVec(WeightedModuleCategory):
 
     name = "finite-weighted-vec"
 
-    def solve_rlp(self, f, g):
-        # hom-sets are finite; lifting problems are answered by enumeration
-        return False, False
-
     def describe(self) -> dict:
         return {
             "kind": "finvec",

@@ -31,8 +31,8 @@ from protex import (
 from protex import FinPointedSet, FinWeightedVec
 from protex import constructions as con
 from protex import linalg
-from protex.category import Strictness, admissible_monos
-from protex.errors import NotComposable, SolverUnavailable
+from protex.category import LiftingSearch, Strictness, admissible_monos
+from protex.errors import BudgetExceeded, NotComposable, SolverUnavailable
 from protex.pointed_sets import PointedMap, PointedSet
 from protex.randgen import (
     random_nonexpanding_map,
@@ -312,9 +312,17 @@ class TestRlp:
             assert is_injective_object(C, X).ok
 
     def test_every_bounded_finvec_object_is_injective(self):
-        C = FinWeightedVec(F2, (E0, E1), max_dim=1)
+        # the weighted shortcut decides each generator: one square each
+        C = FinWeightedVec(F2, (E0, E1), max_dim=2)
+        monos = admissible_monos(C)
         for X in C.objects():
-            assert is_injective_object(C, X).ok
+            f = C.zero_morphism(X, C.zero_object())
+            result = is_injective_object(C, X)
+            assert (result.ok, result.squares_checked) == (True, len(monos))
+            # the shortcut's verdict, by enumerating every square
+            for g in monos:
+                search = LiftingSearch(C, g, f)
+                assert all(search.lifts(u, v) for u, v in search.squares)
 
     def test_weighted_shortcut_decides_strict_mono_against_map_to_zero(self, monkeypatch):
         def unused(f):
@@ -331,6 +339,16 @@ class TestRlp:
             # correct: a retraction r exists, so u o r fills every square over 0
             r = con.retraction(g)
             assert r is not None and compose(r, g) == identity_map(g.domain)
+
+    def test_decided_generators_are_charged_to_the_budget(self):
+        C = WeightedModuleCategory(Q2)
+        X = WeightedSpace(Q2, (E0,))
+        f, against = zero_map(X, C.zero_object()), [identity_map(X)] * 3
+        result = has_rlp(C, f, against)
+        assert (result.ok, result.squares_checked) == (True, 3)
+        with pytest.raises(BudgetExceeded, match="^lifting budget 2 exceeded$"):
+            has_rlp(C, f, against, budget=2)
+        assert has_rlp(C, f, against, budget=3) == result
 
     def test_weighted_shortcut_falls_through_for_non_strict_mono(self):
         C = WeightedModuleCategory(Q2)

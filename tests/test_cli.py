@@ -249,6 +249,24 @@ class TestFactor:
         assert "replay: pass" in out
 
 
+    def test_budget_bounds_the_lifting_squares(self, tmp_path, capsys):
+        # the precover-sweep instance; n is every commuting square of every step
+        inst = write(tmp_path, "inst.json", dict(FINVEC_INSTANCE, max_dim=2))
+        obj = write(tmp_path, "x.json", space_json(["g^0", "g^0"], field={"trivial": "F2"}))
+        argv = ["factor", "--instance", inst, "--object", obj, "--mode", "precover"]
+        code, out, _ = run_main(argv + ["--format", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        n = report["result"]["certificate"]["problems_checked"]
+        code, _, err = run_main(argv + ["--budget", str(n - 1)], capsys)
+        assert (code, err) == (3, f"error: lifting budget {n - 1} exceeded\n")
+        code, out, _ = run_main(argv + ["--format", "json", "--budget", str(n)], capsys)
+        assert code == 0
+        budgeted = json.loads(out)
+        assert budgeted["options"].pop("budget") == n
+        assert budgeted == report
+
+
 class TestFactorInputValidation:
     def precover_cert(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", FINVEC_INSTANCE)

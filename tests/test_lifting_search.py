@@ -13,7 +13,7 @@ import pytest
 
 from protex import factorization as fz
 from protex import FinPointedSet, FinWeightedVec, GeneratingSet, has_rlp
-from protex.category import RlpResult, admissible_monos
+from protex.category import Budget, RlpResult, admissible_monos
 from protex.errors import BudgetExceeded
 from protex.scalars import MAG_ONE, Magnitude, PrimeField
 
@@ -25,7 +25,7 @@ def reference_lift(C, g, u, r, v):
     return False
 
 
-def reference_first_problem(C, r, G, budget, used):
+def reference_first_problem(C, r, G, budget):
     W, Y = C.dom(r), C.cod(r)
     problems = []
     for a, g in enumerate(G.generators):
@@ -35,9 +35,7 @@ def reference_first_problem(C, r, G, budget, used):
             for v in C.morphisms(B, Y):
                 if ru != C.compose(v, g):
                     continue
-                used[0] += 1
-                if budget is not None and used[0] > budget:
-                    raise BudgetExceeded(f"lifting budget {budget} exceeded")
+                budget.tick()
                 if reference_lift(C, g, u, r, v):
                     continue
                 order = [json.dumps(C.describe_morphism(m), sort_keys=True) for m in (u, v)]
@@ -49,7 +47,7 @@ def reference_first_problem(C, r, G, budget, used):
     return a, u, v
 
 
-def reference_has_rlp(C, f, against, budget=None):
+def reference_has_rlp(C, f, against):
     checked = 0
     X, Y = C.dom(f), C.cod(f)
     for g in against:
@@ -66,8 +64,6 @@ def reference_has_rlp(C, f, against, budget=None):
                 if ru != C.compose(v, g):
                     continue
                 checked += 1
-                if budget is not None and checked > budget:
-                    raise BudgetExceeded(f"lifting budget {budget} exceeded")
                 if not reference_lift(C, g, u, f, v):
                     witness = {
                         "generator": C.describe_morphism(g),
@@ -100,10 +96,10 @@ def maps_to_factor(C):
 def test_first_problem_matches_reference(universe):
     C, G = universe
     for f in maps_to_factor(C):
-        used_ref, used = [0], [0]
-        expected = reference_first_problem(C, f, G, None, used_ref)
-        assert fz._first_problem(C, f, G, None, used) == expected
-        assert used == used_ref
+        used_ref, used = Budget(None, "lifting"), Budget(None, "lifting")
+        expected = reference_first_problem(C, f, G, used_ref)
+        assert fz._first_problem(C, f, G, used) == expected
+        assert used.used == used_ref.used
 
 
 def test_factor_map_matches_reference(universe, monkeypatch):

@@ -14,10 +14,11 @@ import pytest
 from protex import FinPointedSet, FinWeightedVec, WeightedSpace
 from protex.category import (
     AuditEntry,
+    Budget,
     Strictness,
-    _audit_obscure_left,
-    _Budget,
+    _obscure_cases,
     _Opposite,
+    _scan,
     _witness,
     audit_obscure,
 )
@@ -58,12 +59,12 @@ def reference_right(C, objs, counter):
 
 
 def audit_left(C, objs, counter):
-    return _audit_obscure_left(C, objs, counter, "left_obscure", ("first", "second"))
+    return _scan("left_obscure", counter, _obscure_cases(C, objs, ("first", "second")))
 
 
 def audit_right(C, objs, counter):
     """The right audit: the left one run on the opposite category."""
-    return _audit_obscure_left(_Opposite(C), objs, counter, "right_obscure", ("second", "first"))
+    return _scan("right_obscure", counter, _obscure_cases(_Opposite(C), objs, ("second", "first")))
 
 
 SIDES = [(audit_left, reference_left), (audit_right, reference_right)]
@@ -94,7 +95,7 @@ def all_maps(C):
 def test_each_side_matches_reference(instance, audit, reference):
     C = instance
     objs = C.objects()
-    ref_counter, counter = _Budget(None), _Budget(None)
+    ref_counter, counter = Budget(None, "audit"), Budget(None, "audit")
     assert audit(C, objs, counter) == reference(C, objs, ref_counter)
     assert counter.used == ref_counter.used > 0
 
@@ -102,7 +103,7 @@ def test_each_side_matches_reference(instance, audit, reference):
 def test_audit_obscure_matches_reference_and_budget(instance):
     C = instance
     objs = C.objects()
-    counter = _Budget(None)
+    counter = Budget(None, "audit")
     left = reference_left(C, objs, counter)
     right = reference_right(C, objs, counter)
     report = audit_obscure(C)
@@ -141,7 +142,7 @@ HIGH = WeightedSpace(PrimeField(2), (Magnitude.of(1), Magnitude.of(1)))
 def test_failing_pairs_past_the_skip_are_found(audit, reference):
     C = LyingFinVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2)
     objs = C.objects()
-    ref_counter, counter = _Budget(None), _Budget(None)
+    ref_counter, counter = Budget(None, "audit"), Budget(None, "audit")
     expected = reference(C, objs, ref_counter)
     assert expected.verdict == "fail"
     assert audit(C, objs, counter) == expected
@@ -151,7 +152,7 @@ def test_failing_pairs_past_the_skip_are_found(audit, reference):
 def outcome(audit, C, budget):
     try:
         objs = C.objects()
-        counter = _Budget(budget)
+        counter = Budget(budget, "audit")
         return audit(C, objs, counter), counter.used
     except BudgetExceeded as exc:
         return "raised", str(exc)
@@ -207,5 +208,5 @@ def test_skipped_factors_compose_nothing(monkeypatch):
     monkeypatch.setattr(
         FinPointedSet, "compose", lambda self, g, f: calls.append(1) or original(self, g, f)
     )
-    assert audit_left(C, C.objects(), _Budget(None)).verdict == "pass"
+    assert audit_left(C, C.objects(), Budget(None, "audit")).verdict == "pass"
     assert calls == []

@@ -13,11 +13,12 @@ import pytest
 from protex import FinPointedSet, FinWeightedVec, audit_axioms
 from protex.category import (
     AuditEntry,
+    Budget,
     Strictness,
-    _audit_composition,
-    _audit_identities,
-    _Budget,
+    _composition_cases,
+    _identity_cases,
     _maps,
+    _scan,
     _witness,
 )
 from protex.errors import BudgetExceeded
@@ -54,11 +55,11 @@ def reference_squares(C, objs, counter, side, total):
 def reference_audit(C):
     """The entries of ``audit_axioms(C, total=True)`` and its budget ticks."""
     objs = C.objects()
-    counter = _Budget(None)
+    counter = Budget(None, "audit")
     entries = (
-        _audit_identities(C, objs, counter),
-        _audit_composition(C, objs, counter, "mono_composition", "strict_mono"),
-        _audit_composition(C, objs, counter, "epi_composition", "strict_epi"),
+        _scan("identity_admissible", counter, _identity_cases(C, objs)),
+        _scan("mono_composition", counter, _composition_cases(C, objs, "strict_mono")),
+        _scan("epi_composition", counter, _composition_cases(C, objs, "strict_epi")),
         reference_squares(C, objs, counter, PULLBACK, total=False),
         reference_squares(C, objs, counter, PUSHOUT, total=False),
         reference_squares(C, objs, counter, PULLBACK, total=True),
