@@ -347,7 +347,7 @@ def _witness(C, **mors) -> dict:
 def audit_axioms(
     C: CategoryInstance,
     total: bool = True,
-    budget: Optional[int] = None,
+    budget: Optional[int | Budget] = None,
 ) -> AuditReport:
     """Exhaustive audit of the proto-exact axioms for the canonical strict class.
 
@@ -362,9 +362,11 @@ def audit_axioms(
     A total audit whose restricted audit passed builds no square along a
     strict mono (epi): those are the restricted cases, known to pass.  They
     are still charged to the budget, so its threshold does not change.
+
+    ``budget`` is a limit, or a ``Budget`` that several audits charge in turn.
     """
     objs, op = C.objects(), _Opposite(C)
-    counter = Budget(budget, "audit")
+    counter = _audit_budget(budget)
     entries = [
         _scan("identity_admissible", counter, _identity_cases(C, objs)),
         _scan("mono_composition", counter, _composition_cases(C, objs, "strict_mono")),
@@ -378,10 +380,10 @@ def audit_axioms(
             _scan("epi_pullback_total", counter, _pullback_cases(C, objs, "epi", along_mono)),
             _scan("mono_pushout_total", counter, _pullback_cases(op, objs, "mono", along_epi)),
         ]
-    return AuditReport(C.name, _bounds_of(C, budget), tuple(entries))
+    return AuditReport(C.name, _bounds_of(C, counter.limit), tuple(entries))
 
 
-def audit_obscure(C: CategoryInstance, budget: Optional[int] = None) -> AuditReport:
+def audit_obscure(C: CategoryInstance, budget: Optional[int | Budget] = None) -> AuditReport:
     """Exhaustive audit of the left/right obscure axioms and their strong variants.
 
     The instances shipped here are finitely complete and cocomplete, so
@@ -392,10 +394,11 @@ def audit_obscure(C: CategoryInstance, budget: Optional[int] = None) -> AuditRep
     A first factor that is not a mono (a second factor that is not an
     epi) cannot fail, since j o i mono forces i mono (e o j epi forces e
     epi); its pairs are counted against the budget but not composed.  The
-    right audit is the left audit of the opposite category.
+    right audit is the left audit of the opposite category.  ``budget`` is
+    as in :func:`audit_axioms`.
     """
     objs = C.objects()
-    counter = Budget(budget, "audit")
+    counter = _audit_budget(budget)
     left = _scan("left_obscure", counter, _obscure_cases(C, objs, ("first", "second")))
     right = _scan("right_obscure", counter, _obscure_cases(_Opposite(C), objs, ("second", "first")))
     entries = (
@@ -404,7 +407,11 @@ def audit_obscure(C: CategoryInstance, budget: Optional[int] = None) -> AuditRep
         AuditEntry("strong_left_obscure", left.verdict, left.witness),
         AuditEntry("strong_right_obscure", right.verdict, right.witness),
     )
-    return AuditReport(C.name, _bounds_of(C, budget), entries)
+    return AuditReport(C.name, _bounds_of(C, counter.limit), entries)
+
+
+def _audit_budget(budget: Optional[int | Budget]) -> Budget:
+    return budget if isinstance(budget, Budget) else Budget(budget, "audit")
 
 
 class Budget:

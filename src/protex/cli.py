@@ -17,6 +17,7 @@ import sys
 from . import __version__
 from . import serialize as ser
 from .category import (
+    Budget,
     admissible_monos,
     audit_axioms,
     audit_obscure,
@@ -233,10 +234,11 @@ def _cmd_classify(args):
 
 def _cmd_audit(args):
     C = ser.parse_instance(ser.load_json_file(args.instance_path))
-    report = audit_axioms(C, total=not args.no_total, budget=args.budget)
+    budget = Budget(args.budget, "audit")  # the axiom and obscure audits share it
+    report = audit_axioms(C, total=not args.no_total, budget=budget)
     reports = [report]
     if args.obscure:
-        reports.append(audit_obscure(C, budget=args.budget))
+        reports.append(audit_obscure(C, budget=budget))
     entries = [e for r in reports for e in r.entries]
     result = {
         "instance": C.describe(),

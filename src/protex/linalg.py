@@ -1,8 +1,12 @@
 """Exact Gaussian elimination over an abstract valued field.
 
-Matrices are lists of row lists of field elements; all arithmetic goes
-through the field object, so the same code serves F_p and the rationals.
-Zero-row and zero-column matrices are legal throughout.
+Matrices are lists of row lists of field elements.  Elimination runs on
+the integer-row form of the field (see ``scalars``): each row is cleared
+of denominators once, a row is reduced by cross-multiplying with the
+pivot row (``pv * x - e * y``) and shrunk by the field's hook (the gcd of
+its entries over Q, ``% p`` over F_p), and elements are built again only
+for the reduced rows returned.  The same loop serves F_p and the
+rationals.  Zero-row and zero-column matrices are legal throughout.
 """
 
 from __future__ import annotations
@@ -26,31 +30,30 @@ def mat_vec(F: ValuedField, a, v):
 
 def rref(F: ValuedField, a):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in a]
+    rows = list(F.to_ints(a)[0])  # a row's scale does not matter here
     m = len(rows)
     n = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(n):
-        pivot_row = None
         for i in range(r, m):
-            if not F.is_zero(rows[i][c]):
-                pivot_row = i
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = F.div(F.one, rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        pv = prow[c]
         for i in range(m):
-            if i != r and not F.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            e = rows[i][c]
+            if e and i != r:
+                rows[i] = F.shrink([pv * x - e * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return rows, pivots
+    red = [F.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
+    return red + [[F.zero] * n for _ in range(m - r)], pivots
 
 
 def rank(F: ValuedField, a) -> int:

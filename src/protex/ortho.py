@@ -101,46 +101,51 @@ class OrthoBasis:
 
 
 def orthogonalize(space: WeightedSpace, generators) -> OrthoBasis:
-    """Orthogonal basis of the span of ``generators`` inside ``space``."""
+    """Orthogonal basis of the span of ``generators`` inside ``space``.
+
+    Rows are in the field's integer-row form, with the denominator as a
+    last entry: ``row[:-1] / row[-1]`` are the coordinates.  A processed
+    row is read relative to its pivot entry instead, and its last entry is
+    zero; so one cross-multiplication, ``pc * o - o[c] * prow`` for a pivot
+    row ``prow`` with pivot entry ``pc``, reduces both kinds of row and
+    scales a denominator ``od`` to ``od * pc``.
+    """
     F = space.field
-    rows = []
+    exps = [w.exponent for w in space.weights]
+    coords = []
     for g in generators:
         if g.space != space:
             raise InvariantViolation("generator outside the target space")
-        if not g.is_zero:
-            rows.append(list(g.coords))
+        coords.append(g.coords)
+    ints, den = F.to_ints(coords)
+    rows = [[*r, den] for r in ints if any(r)]
     live = list(range(len(rows)))  # original indices of unprocessed rows
     done: list[tuple[int, list]] = []  # (pivot coordinate, row), null rows last
 
     def pivot_on(c: int, row: list):
-        """Normalize row[c] to one and clear coordinate c from every other row."""
-        inv = F.div(F.one, row[c])
-        for i in range(len(row)):
-            row[i] = F.mul(inv, row[i])
-        for _, other in done:
-            _reduce_row(F, other, c, row)
-        for idx in live:
-            if rows[idx] is not row:
-                _reduce_row(F, rows[idx], c, row)
+        """Process ``row`` on pivot c and clear coordinate c from every other row."""
+        row[-1] = 0
+        row[:] = F.shrink([-x for x in row] if row[c] < 0 else row)
+        pc = row[c]
+        for other in [r for _, r in done] + [rows[idx] for idx in live]:
+            e = other[c]
+            if e and other is not row:
+                other[:] = F.shrink([pc * x - e * y for x, y in zip(other, row)])
         done.append((c, row))
 
     while True:
-        best = None  # (magnitude, coord, original row index)
+        best = None  # (exponent of |entry| * weight, -coord, -original row index)
         for idx in live:
-            for c, entry in enumerate(rows[idx]):
-                if F.is_zero(entry):
-                    continue
-                mag = F.abs_value(entry) * space.weights[c]
-                if mag.is_zero:
-                    continue
-                key = (mag, -c, -idx)
-                if best is None or (key[0] > best[0][0]) or (
-                    key[0] == best[0][0] and key[1:] > best[0][1:]
-                ):
-                    best = (key, c, idx)
+            row = rows[idx]
+            shift = F.abs_exponent(row[-1])
+            for c, e in enumerate(exps):
+                if e is not None and row[c]:
+                    key = (e + F.abs_exponent(row[c]) - shift, -c, -idx)
+                    if best is None or key > best:
+                        best = key
         if best is None:
             break
-        _, c, idx = best
+        c, idx = -best[1], -best[2]
         live.remove(idx)
         pivot_on(c, rows[idx])
 
@@ -148,27 +153,20 @@ def orthogonalize(space: WeightedSpace, generators) -> OrthoBasis:
     # its first non-zero entry, in row order
     weighted = len(done)
     for idx in live:
-        c = next((c for c, entry in enumerate(rows[idx]) if not F.is_zero(entry)), None)
+        row = rows[idx]
+        c = next((c for c, x in enumerate(row[:-1]) if x), None)
         if c is not None:
-            pivot_on(c, rows[idx])
+            pivot_on(c, row)
 
-    processed = sorted(done[:weighted], key=lambda pr: pr[0])
-    null_rows = sorted(done[weighted:], key=lambda pr: pr[0])
-    return OrthoBasis(
-        ambient=space,
-        vectors=tuple(Vector(space, tuple(r)) for _, r in processed),
-        pivots=tuple(p for p, _ in processed),
-        null_vectors=tuple(Vector(space, tuple(r)) for _, r in null_rows),
-        null_pivots=tuple(p for p, _ in null_rows),
-    )
+    def presented(part):
+        """(vectors, pivots) of processed rows in pivot order, each pivot entry one."""
+        part = sorted(part, key=lambda pr: pr[0])
+        vectors = tuple(Vector(space, tuple(F.from_ints(r[:-1], r[c]))) for c, r in part)
+        return vectors, tuple(c for c, _ in part)
 
-
-def _reduce_row(F, row, pivot, prow):
-    factor = F.div(row[pivot], prow[pivot])
-    if F.is_zero(factor):
-        return
-    for i in range(len(row)):
-        row[i] = F.sub(row[i], F.mul(factor, prow[i]))
+    vectors, pivots = presented(done[:weighted])
+    null_vectors, null_pivots = presented(done[weighted:])
+    return OrthoBasis(space, vectors, pivots, null_vectors, null_pivots)
 
 
 def quotient_norm(sub: OrthoBasis, m: Vector) -> Magnitude:

@@ -21,6 +21,14 @@ Fields come with an exact absolute value into magnitudes:
 
 Field elements are plain Python values (``Fraction`` or small ints); the
 field object supplies the arithmetic, so matrices stay lightweight.
+
+Elimination, orthogonalization and composition run on the integer-row
+form instead: a row of elements is a list of Python ints over one common
+denominator, combined by cross-multiplication with no per-entry field
+call.  Each field supplies four hooks for it: ``to_ints`` (values in),
+``from_ints`` (values out), ``shrink`` (a smaller multiple of a row: the
+gcd over Q, ``% p`` over F_p) and ``abs_exponent`` (the exponent of an
+absolute value, read off an int or an element).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any
 
 
@@ -209,6 +218,8 @@ def padic_valuation(n: int, p: int) -> int:
     """Largest k with p^k dividing n; undefined (raises) at n = 0."""
     if n == 0:
         raise ZeroDivisionError("valuation of zero is undefined")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -220,7 +231,9 @@ def padic_valuation(n: int, p: int) -> int:
 class ValuedField(ABC):
     """Arithmetic plus an exact absolute value on an exactly-representable field.
 
-    Elements are plain values; all operations go through the field object.
+    Elements are plain values; all operations go through the field object,
+    either one element at a time or, in the integer-row form, through the
+    ``to_ints``/``from_ints``/``shrink``/``abs_exponent`` hooks.
     Implementations are immutable and hashable so spaces over them compare
     by value.
     """
@@ -253,6 +266,25 @@ class ValuedField(ABC):
 
     @abstractmethod
     def abs_value(self, a) -> Magnitude: ...
+
+    @abstractmethod
+    def abs_exponent(self, a) -> int | Fraction | None:
+        """e with ``|a| = g^e``, or None at zero; ``a`` may be an int of a row."""
+
+    @abstractmethod
+    def to_ints(self, rows) -> tuple[list, int]:
+        """``(ints, den)``: ``rows[i][j] == ints[i][j] / den`` with ``den > 0``.
+
+        The int rows may be ``rows`` themselves; callers do not mutate them.
+        """
+
+    @abstractmethod
+    def from_ints(self, ints, den) -> list:
+        """The elements ``ints[i] / den``; den is non-zero in the field."""
+
+    @abstractmethod
+    def shrink(self, ints) -> list[int]:
+        """A row that is a non-zero multiple of ``ints``, with entries no larger."""
 
     @abstractmethod
     def parse_element(self, text: str): ...
@@ -297,6 +329,21 @@ class _RationalOps:
     def format_element(self, a) -> str:
         return str(Fraction(a))
 
+    def to_ints(self, rows) -> tuple[list, int]:
+        den = lcm(*[x.denominator for row in rows for x in row])
+        if den == 1:
+            return [[x.numerator for x in row] for row in rows], 1
+        return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+    def from_ints(self, ints, den) -> list:
+        if den == 1:
+            return [Fraction(x) for x in ints]
+        return [Fraction(x, den) if x else self.zero for x in ints]
+
+    def shrink(self, ints) -> list[int]:
+        g = gcd(*ints)
+        return ints if g < 2 else [x // g for x in ints]
+
 
 @dataclass(frozen=True)
 class PAdicRationals(_RationalOps, ValuedField):
@@ -309,10 +356,15 @@ class PAdicRationals(_RationalOps, ValuedField):
             raise ValueError(f"p-adic base must be prime, got {self.p}")
 
     def abs_value(self, a) -> Magnitude:
-        num = a.numerator
+        e = self.abs_exponent(a)
+        return MAG_ZERO if e is None else _magnitude(e)
+
+    def abs_exponent(self, a) -> int | None:
+        num, den = a.numerator, a.denominator
         if not num:
-            return MAG_ZERO
-        return _magnitude(padic_valuation(a.denominator, self.p) - padic_valuation(num, self.p))
+            return None
+        e = -padic_valuation(num, self.p)
+        return e if den == 1 else e + padic_valuation(den, self.p)
 
     def random_element(self, rng, allow_zero: bool = True) -> Fraction:
         if allow_zero and rng.random() < 0.15:
@@ -335,6 +387,9 @@ class TrivialRationals(_RationalOps, ValuedField):
 
     def abs_value(self, a) -> Magnitude:
         return MAG_ZERO if a == 0 else MAG_ONE
+
+    def abs_exponent(self, a) -> int | None:
+        return None if a == 0 else 0
 
     def random_element(self, rng, allow_zero: bool = True) -> Fraction:
         lo = 0 if allow_zero else 1
@@ -384,6 +439,20 @@ class PrimeField(ValuedField):
 
     def abs_value(self, a) -> Magnitude:
         return MAG_ZERO if a % self.p == 0 else MAG_ONE
+
+    def abs_exponent(self, a) -> int | None:
+        return None if a % self.p == 0 else 0
+
+    def to_ints(self, rows) -> tuple[list, int]:
+        return rows, 1  # elements are ints in [0, p) already
+
+    def from_ints(self, ints, den) -> list:
+        p = self.p
+        inv = 1 if den == 1 else pow(den, p - 2, p)
+        return [x * inv % p for x in ints]
+
+    def shrink(self, ints) -> list[int]:
+        return [x % self.p for x in ints]
 
     def parse_element(self, text: str) -> int:
         value = int(text.strip())

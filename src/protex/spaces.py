@@ -8,11 +8,12 @@ semi-normed null direction.  Every construction below is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional
 
 from . import linalg
 from .errors import InvariantViolation, NotComposable, UnboundedError
-from .scalars import MAG_ONE, MAG_ZERO, Magnitude, ValuedField
+from .scalars import MAG_ONE, MAG_ZERO, Magnitude, ValuedField, _magnitude
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,18 @@ def basis_vector(space: WeightedSpace, i: int) -> Vector:
 
 
 def norm(v: Vector) -> Magnitude:
-    """max over coordinates of |coordinate| * weight; zero for the zero vector."""
+    """max over coordinates of |coordinate| * weight; zero for the zero vector.
+
+    The max is taken over exponents, ``e(coordinate) + e(weight)``.
+    """
     F = v.space.field
-    best = MAG_ZERO
+    best = None
     for c, w in zip(v.coords, v.space.weights):
-        term = F.abs_value(c) * w
-        if term > best:
-            best = term
-    return best
+        if w.exponent is not None:
+            e = F.abs_exponent(c)
+            if e is not None and (best is None or e + w.exponent > best):
+                best = e + w.exponent
+    return MAG_ZERO if best is None else _magnitude(best)
 
 
 def add_vectors(u: Vector, v: Vector) -> Vector:
@@ -169,19 +174,20 @@ def zero_map(domain: WeightedSpace, codomain: WeightedSpace) -> BoundedMap:
 
 
 def compose(g: BoundedMap, f: BoundedMap) -> BoundedMap:
-    """g after f; shapes are taken from the spaces so empty matrices are safe."""
+    """g after f; shapes are taken from the spaces so empty matrices are safe.
+
+    The product is taken in the field's integer-row form: the rows of g and
+    the columns of f each over one common denominator, so the product is
+    over ``dg * df``.
+    """
     if f.codomain != g.domain:
         raise NotComposable("codomain of the first map must equal domain of the second")
     F = f.domain.field
-    prod = [[F.zero] * f.domain.dim for _ in range(g.codomain.dim)]
-    for i in range(g.codomain.dim):
-        for k in range(g.domain.dim):
-            gik = g.matrix[i][k]
-            if F.is_zero(gik):
-                continue
-            frow = f.matrix[k]
-            for j in range(f.domain.dim):
-                prod[i][j] = F.add(prod[i][j], F.mul(gik, frow[j]))
+    grows, dg = F.to_ints(g.matrix)
+    # the columns of f; a map into the zero space has n empty columns
+    fcols, df = F.to_ints(list(zip(*f.matrix)) or [()] * f.domain.dim)
+    den = dg * df
+    prod = [F.from_ints([sum(map(mul, r, c)) for c in fcols], den) for r in grows]
     return bounded_map(f.domain, g.codomain, prod, check=False)
 
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from protex.category import Budget, audit_axioms, audit_obscure
 from protex.cli import main
+from protex.serialize import parse_instance
 
 FINVEC_INSTANCE = {"kind": "finvec", "p": 2, "weights": ["g^0", "g^1"], "max_dim": 1}
 
@@ -175,6 +177,28 @@ class TestAuditAndCounterexamples:
         assert out3 == out1
         assert (report1["options"].pop("jobs"), report3["options"].pop("jobs")) == (1, 3)
         assert report3 == report1
+
+    def test_obscure_audit_shares_the_budget(self, tmp_path, capsys):
+        # T is every unit the axiom and obscure audits charge together
+        inst = {"kind": "pointed", "max_size": 3}
+        C = parse_instance(inst)
+        counter = Budget(None, "audit")
+        audit_axioms(C, budget=counter)
+        audit_obscure(C, budget=counter)
+        t = counter.used
+        argv = ["audit", "--obscure", "--instance", write(tmp_path, "inst.json", inst)]
+        code, out, _ = run_main(argv + ["--format", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        code, out, err = run_main(argv + ["--budget", str(t - 1)], capsys)
+        assert (code, out, err) == (3, "", f"error: audit budget {t - 1} exceeded\n")
+        code, out, _ = run_main(argv + ["--format", "json", "--budget", str(t)], capsys)
+        assert code == 0
+        budgeted = json.loads(out)
+        assert budgeted["options"].pop("budget") == t
+        assert budgeted["result"]["bounds"].pop("budget") == t
+        assert report["result"]["bounds"].pop("budget") is None
+        assert budgeted == report
 
     def test_counterexamples(self, capsys):
         code, out, _ = run_main(["counterexamples"], capsys)

@@ -21,7 +21,7 @@ from protex import (
     mag_compare,
     parse_magnitude,
 )
-from protex.scalars import _is_prime, _parse_rational
+from protex.scalars import _is_prime, _parse_rational, padic_valuation
 
 magnitudes = st.one_of(
     st.just(MAG_ZERO),
@@ -145,6 +145,39 @@ class TestPAdicAbsValue:
             assert F.abs_value(Fraction(0)) is MAG_ZERO
             assert F.is_zero(Fraction(0)) and F.is_zero(0)
             assert not F.is_zero(Fraction(-1, p))
+
+
+class TestPAdicValuation:
+    # p = 2 reads the valuation off the lowest set bit; the others divide
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.integers(min_value=-(2**200), max_value=2**200).filter(bool),
+    )
+    def test_matches_the_division_loop(self, p, n):
+        assert padic_valuation(n, p) == trial_division_valuation(n, p)
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(0, 86), st.integers(1, 2**64), st.booleans())
+    def test_high_valuations(self, p, k, unit, negative):
+        n = unit * p**k
+        if n > 2**200:
+            return
+        n = -n if negative else n
+        assert padic_valuation(n, p) == trial_division_valuation(n, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_prime_powers(self, p):
+        k = 0
+        while p**k <= 2**200:
+            for n in (p**k, -(p**k), p**k + 1, p**k - 1, -(p**k) * (p + 1)):
+                if n:
+                    assert padic_valuation(n, p) == trial_division_valuation(n, p)
+            assert padic_valuation(p**k, p) == k
+            k += 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_raises(self, p):
+        with pytest.raises(ZeroDivisionError):
+            padic_valuation(0, p)
 
 
 class TestPAdic:
