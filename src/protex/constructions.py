@@ -32,7 +32,6 @@ from .spaces import (
     BoundedMap,
     Vector,
     WeightedSpace,
-    basis_vector,
     biproduct,
     bounded_map,
     compose,
@@ -65,20 +64,10 @@ def _checked_map(domain: WeightedSpace, codomain: WeightedSpace, rows) -> Option
         return None
 
 
-def _complement(ob: OrthoBasis) -> tuple[int, ...]:
-    """Ambient coordinates that are no pivot of ``ob``."""
-    used = set(ob.pivots) | set(ob.null_pivots)
-    return tuple(d for d in range(ob.ambient.dim) if d not in used)
-
-
 def cokernel(f: BoundedMap) -> tuple[WeightedSpace, BoundedMap]:
     """Quotient by the image with the quotient semi-norm (attained infimum)."""
     ob = image(f)
-    complement = _complement(ob)
-    space = WeightedSpace(f.codomain.field, tuple(f.codomain.weights[d] for d in complement))
-    residuals = [ob.residual(basis_vector(f.codomain, c)) for c in range(f.codomain.dim)]
-    rows = [[r.coords[d] for r in residuals] for d in complement]
-    return space, bounded_map(f.codomain, space, rows, check=False)
+    return ob.quotient_space(), ob.projection()
 
 
 def image_presentation(f: BoundedMap) -> tuple[WeightedSpace, BoundedMap]:
@@ -155,7 +144,7 @@ class PullbackSquare:
     space: WeightedSpace
     p1: BoundedMap
     p2: BoundedMap
-    inclusion: BoundedMap  # into the biproduct of the two sources
+    inclusion: BoundedMap  # into the biproduct of the two sources; p1, p2 are its row blocks
     f: BoundedMap
     g: BoundedMap
 
@@ -164,25 +153,21 @@ class PullbackSquare:
             return None
         if compose(self.f, q1) != compose(self.g, q2):
             return None
-        stacked = q1.rows() + q2.rows()
-        sol = linalg.solve_matrix(self.space.field, self.inclusion.rows(), stacked)
-        if sol is None:
-            return None
-        return bounded_map(q1.domain, self.space, sol, check=False)
+        rows = q1.rows() + q2.rows()
+        stacked = bounded_map(q1.domain, self.inclusion.codomain, rows, check=False)
+        return factor_through_kernel(self.inclusion, stacked)
 
 
 def pullback(f: BoundedMap, g: BoundedMap) -> PullbackSquare:
     if f.codomain != g.codomain:
         raise NotComposable("pullback needs a common codomain")
     F = f.domain.field
-    bp = biproduct([f.domain, g.domain])
-    diff_rows = [
-        list(f.matrix[i]) + [F.neg(x) for x in g.matrix[i]] for i in range(f.codomain.dim)
-    ]
-    diff = bounded_map(bp.space, f.codomain, diff_rows, check=False)
-    _, incl = kernel(diff)
-    p1 = compose(bp.projections[0], incl)
-    p2 = compose(bp.projections[1], incl)
+    both = WeightedSpace(F, f.domain.weights + g.domain.weights)
+    diff_rows = [list(r) + [F.neg(x) for x in s] for r, s in zip(f.matrix, g.matrix)]
+    _, incl = kernel(bounded_map(both, f.codomain, diff_rows, check=False))
+    n = f.domain.dim
+    p1 = bounded_map(incl.domain, f.domain, incl.matrix[:n], check=False)
+    p2 = bounded_map(incl.domain, g.domain, incl.matrix[n:], check=False)
     return PullbackSquare(incl.domain, p1, p2, incl, f, g)
 
 
@@ -193,7 +178,7 @@ class PushoutSquare:
     space: WeightedSpace
     j1: BoundedMap
     j2: BoundedMap
-    projection: BoundedMap  # from the biproduct of the two targets
+    projection: BoundedMap  # from the biproduct of the two targets; j1, j2 its column blocks
     i: BoundedMap
     g: BoundedMap
 
@@ -204,20 +189,19 @@ class PushoutSquare:
             return None
         full_rows = [list(a) + list(b) for a, b in zip(q1.rows(), q2.rows())]
         full = bounded_map(self.projection.domain, q1.codomain, full_rows, check=False)
-        cand = factor_through_cokernel(self.projection, full)
-        return cand
+        return factor_through_cokernel(self.projection, full)
 
 
 def pushout(i: BoundedMap, g: BoundedMap) -> PushoutSquare:
     if i.domain != g.domain:
         raise NotComposable("pushout needs a common domain")
     F = i.domain.field
-    bp = biproduct([i.codomain, g.codomain])
+    both = WeightedSpace(F, i.codomain.weights + g.codomain.weights)
     rows = [list(r) for r in i.matrix] + [[F.neg(x) for x in r] for r in g.matrix]
-    glue = bounded_map(i.domain, bp.space, rows, check=False)
-    _, proj = cokernel(glue)
-    j1 = compose(proj, bp.injections[0])
-    j2 = compose(proj, bp.injections[1])
+    _, proj = cokernel(bounded_map(i.domain, both, rows, check=False))
+    n = i.codomain.dim
+    j1 = bounded_map(i.codomain, proj.codomain, [r[:n] for r in proj.matrix], check=False)
+    j2 = bounded_map(g.codomain, proj.codomain, [r[n:] for r in proj.matrix], check=False)
     return PushoutSquare(proj.codomain, j1, j2, proj, i, g)
 
 
@@ -237,15 +221,8 @@ class MorphismClassification:
     split_epi: bool
 
     def as_dict(self) -> dict:
-        return {
-            "mono": self.mono,
-            "epi": self.epi,
-            "strict_mono": self.strict_mono,
-            "strict_epi": self.strict_epi,
-            "iso": self.iso,
-            "split_mono": self.split_mono,
-            "split_epi": self.split_epi,
-        }
+        """The flags by name, in field order (the ``classify`` text lists them so)."""
+        return dict(vars(self))
 
 
 class _MapAnalysis:
@@ -274,12 +251,10 @@ class _MapAnalysis:
 
     @cached_property
     def change(self) -> list:
-        """Coordinates of the columns of f in the image basis."""
-        F, f, ob = self.F, self.f, self.image_basis
-        return [
-            [F.div(x, v.coords[p]) for x in f.matrix[p]]
-            for v, p in zip(ob.vectors + ob.null_vectors, ob.pivots + ob.null_pivots)
-        ]
+        """Coordinates of the columns of f in the image basis: the rows of f at
+        the image pivots, since each basis vector is one at its exclusive pivot."""
+        ob = self.image_basis
+        return [list(self.f.matrix[p]) for p in ob.pivots + ob.null_pivots]
 
     @cached_property
     def change_inverse(self) -> list:
@@ -324,12 +299,10 @@ class _MapAnalysis:
         """
         if not self.epi:
             return False
-        f = self.f
-        complement = _complement(self.kernel_basis)
-        space = WeightedSpace(self.F, tuple(f.domain.weights[d] for d in complement))
-        rows = [[row[d] for d in complement] for row in f.matrix]
-        inv_rows = [[col[c] for col in self.min_preimages] for c in complement]
-        return _isometric_iso(space, f.codomain, rows, inv_rows)
+        kb = self.kernel_basis
+        rows = [[row[d] for d in kb.complement] for row in self.f.matrix]
+        inv_rows = [[col[c] for col in self.min_preimages] for c in kb.complement]
+        return _isometric_iso(kb.quotient_space(), self.f.codomain, rows, inv_rows)
 
     def retraction(self) -> Optional[BoundedMap]:
         if not self.mono:

@@ -18,10 +18,12 @@ coordinates can never be selected; afterwards each of them, in row order,
 pivots on its first non-zero entry by the same normalize-and-eliminate
 step, and they form the null part of the basis.
 
-The exclusive-pivot certificate (each basis vector owns a coordinate at
-which all other rows vanish) is what makes quotient norms exact: the
+The exclusive unit-pivot certificate (each basis vector is one at a
+coordinate at which all other rows vanish) makes quotient norms exact: the
 residual of a vector after zeroing its pivot coordinates is the
-norm-minimal member of its coset.
+norm-minimal member of its coset.  Both presentations are read off it
+without division: the span carries the ambient weights of the pivots, the
+quotient those of the complementary coordinates.
 """
 
 from __future__ import annotations
@@ -29,18 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .scalars import MAG_ZERO, Magnitude
-from .spaces import BoundedMap, Vector, WeightedSpace, bounded_map, norm
+from .scalars import Magnitude
+from .spaces import BoundedMap, Vector, WeightedSpace, basis_vector, bounded_map, norm
 
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """Orthogonal presentation of a subspace with exclusive pivots.
+    """Orthogonal presentation of a subspace with exclusive unit pivots.
 
-    ``vectors[j]`` has norm ``|vectors[j][pivots[j]]| * weight`` attained at
-    its pivot, every other row vanishes there, and the norm of any linear
-    combination is the max of the coefficient-scaled member norms.
-    ``null_vectors`` span the norm-zero part and carry their own pivots.
+    ``vectors[j]`` is one at ``pivots[j]``, every other row vanishes there,
+    and its norm is the ambient weight of that pivot; so the norm of any
+    linear combination is the max of the coefficient-scaled pivot weights.
+    ``null_vectors`` span the norm-zero part and carry their own unit pivots.
     """
 
     ambient: WeightedSpace
@@ -62,28 +64,41 @@ class OrthoBasis:
         for j, (v, p) in enumerate(zip(rows, all_pivots)):
             if v.space != self.ambient:
                 raise InvariantViolation("basis vector outside the ambient space")
+            if v.coords[p] != F.one:
+                raise InvariantViolation(f"pivot {p} of row {j} is not one")
             for k, u in enumerate(rows):
                 if k != j and not F.is_zero(u.coords[p]):
                     raise InvariantViolation(
                         f"pivot {p} of row {j} is not exclusive (row {k} hits it)"
                     )
-        for v, p in zip(self.vectors, self.pivots):
-            pivot_term = F.abs_value(v.coords[p]) * self.ambient.weights[p]
-            if pivot_term.is_zero or norm(v) != pivot_term:
-                raise InvariantViolation("norm is not attained at the pivot coordinate")
-        for v in self.null_vectors:
-            if not norm(v).is_zero:
-                raise InvariantViolation("null part contains a vector of non-zero norm")
+            weight = self.ambient.weights[p]
+            if norm(v) != weight or weight.is_zero != (j >= len(self.vectors)):
+                raise InvariantViolation(f"row {j} does not have the norm of its pivot weight")
 
-    def presented_space(self, label=None) -> WeightedSpace:
-        weights = tuple(norm(v) for v in self.vectors) + (MAG_ZERO,) * len(self.null_vectors)
-        return WeightedSpace(self.ambient.field, weights, label)
+    @property
+    def complement(self) -> tuple[int, ...]:
+        """Ambient coordinates that are no pivot: the quotient's coordinates."""
+        used = set(self.pivots + self.null_pivots)
+        return tuple(d for d in range(self.ambient.dim) if d not in used)
 
-    def inclusion(self, label=None) -> BoundedMap:
-        src = self.presented_space(label)
+    def presented_space(self) -> WeightedSpace:
+        weights = tuple(self.ambient.weights[p] for p in self.pivots + self.null_pivots)
+        return WeightedSpace(self.ambient.field, weights)
+
+    def inclusion(self) -> BoundedMap:
         cols = [list(v.coords) for v in self.vectors + self.null_vectors]
         rows = [[col[i] for col in cols] for i in range(self.ambient.dim)]
-        return bounded_map(src, self.ambient, rows, check=False)
+        return bounded_map(self.presented_space(), self.ambient, rows, check=False)
+
+    def quotient_space(self) -> WeightedSpace:
+        weights = tuple(self.ambient.weights[d] for d in self.complement)
+        return WeightedSpace(self.ambient.field, weights)
+
+    def projection(self) -> BoundedMap:
+        """The quotient map: the residual of each coordinate vector, read on the complement."""
+        residuals = [self.residual(basis_vector(self.ambient, c)) for c in range(self.ambient.dim)]
+        rows = [[r.coords[d] for r in residuals] for d in self.complement]
+        return bounded_map(self.ambient, self.quotient_space(), rows, check=False)
 
     def residual(self, m: Vector) -> Vector:
         """Representative of the coset of ``m`` with zeros at every pivot."""
@@ -92,7 +107,7 @@ class OrthoBasis:
         F = self.ambient.field
         coords = list(m.coords)
         for v, p in zip(self.vectors + self.null_vectors, self.pivots + self.null_pivots):
-            factor = F.div(coords[p], v.coords[p])
+            factor = coords[p]  # the pivot entry of v is one
             if F.is_zero(factor):
                 continue
             for i, c in enumerate(v.coords):

@@ -222,13 +222,17 @@ def morphism_to_json(C: CategoryInstance, f: Any) -> Any:
     return map_to_json(f) if isinstance(f, BoundedMap) else C.describe_morphism(f)
 
 
-def parse_morphism(C: CategoryInstance, data: Any, path: str = "morphism", most=None) -> Any:
-    """A morphism of C; a pointed map's sets have at most ``most`` points
-    besides the base point (``C.max_size`` by default)."""
+def parse_morphism(C: CategoryInstance, data: Any, path: str = "morphism", steps: int = 0) -> Any:
+    """A morphism of C whose objects fit the instance: a pointed map's sets
+    have at most ``(1 + steps) * max_size`` points besides the base point, a
+    finvec map's spaces at most ``(1 + steps) * max_dim`` weights."""
     if isinstance(C, WeightedModuleCategory):
-        return parse_map(data, path)
+        f = parse_map(data, path)
+        _check_space(C, f.domain, f"{path}.domain", steps)
+        _check_space(C, f.codomain, f"{path}.codomain", steps)
+        return f
     if isinstance(C, FinPointedSet):
-        most = C.max_size if most is None else most
+        most = (1 + steps) * C.max_size
         dom = _count(_need(data, "dom", path), f"{path}.dom", most)
         cod = _count(_need(data, "cod", path), f"{path}.cod", most)
         images = _need(data, "images", path)
@@ -249,20 +253,28 @@ def object_to_json(C: CategoryInstance, X: Any) -> Any:
 def parse_object(C: CategoryInstance, data: Any, path: str = "object") -> Any:
     """An object of C; for the finite instances it must lie inside the bounds."""
     if isinstance(C, WeightedModuleCategory):
-        space = parse_space(data, path)
-        if space.field != C.field:
-            raise ParseError(f"{path}.field", "field differs from the instance field")
-        if isinstance(C, FinWeightedVec) and space.dim > C.max_dim:
-            raise ParseError(f"{path}.weights", f"dimension exceeds max_dim {C.max_dim}")
-        if isinstance(C, FinWeightedVec) and not set(space.weights) <= set(C.weights):
-            raise ParseError(f"{path}.weights", "weight outside the instance weight set")
-        return space
+        return _check_space(C, parse_space(data, path), path)
     if isinstance(C, FinPointedSet):
         size = _count(_need(data, "size", path), f"{path}.size")
         if size > C.max_size:
             raise ParseError(f"{path}.size", f"size {size} exceeds max_size {C.max_size}")
         return PointedSet(size)
     raise ParseError(path, f"cannot parse an object for instance {C.name}")
+
+
+def _check_space(C: WeightedModuleCategory, space: WeightedSpace, path: str, steps: int = 0):
+    """``space`` if it is over the field of C and, for finvec, has at most
+    ``(1 + steps) * max_dim`` weights, each an instance weight."""
+    if space.field != C.field:
+        raise ParseError(f"{path}.field", "field differs from the instance field")
+    if isinstance(C, FinWeightedVec):
+        most = (1 + steps) * C.max_dim
+        if space.dim > most:
+            message = f"dimension {space.dim} exceeds max_dim {C.max_dim} (bound {most})"
+            raise ParseError(f"{path}.weights", message)
+        if not set(space.weights) <= set(C.weights):
+            raise ParseError(f"{path}.weights", "weight outside the instance weight set")
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +311,13 @@ def parse_certificate(
     """Certificate from JSON; each step's index must name one of the generators.
 
     A step attaches one generator codomain, so a pointed leg has at most
-    ``(1 + len(steps)) * max_size`` points; larger ones are refused here,
-    before replay builds any pushout.
+    ``(1 + len(steps)) * max_size`` points and a finvec leg at most
+    ``(1 + len(steps)) * max_dim`` weights; larger ones are refused here,
+    before replay builds any pushout or hom-set.
     """
     steps_raw = _need(data, "steps", path)
     if not isinstance(steps_raw, list):
         raise ParseError(f"{path}.steps", "expected a list of steps")
-    most = (1 + len(steps_raw)) * C.max_size if isinstance(C, FinPointedSet) else None
     steps = []
     for i, s in enumerate(steps_raw):
         at = f"{path}.steps[{i}]"
@@ -316,7 +328,7 @@ def parse_certificate(
                 f"index {idx} out of range for {generator_count} generators",
             )
         legs = [
-            parse_morphism(C, _need(s, k, at), f"{at}.{k}", most)
+            parse_morphism(C, _need(s, k, at), f"{at}.{k}", len(steps_raw))
             for k in ("attach", "cell", "step_mono")
         ]
         steps.append(FactorizationStep(idx, *legs))
@@ -326,8 +338,8 @@ def parse_certificate(
     problems = _count(data.get("problems_checked", 0), f"{path}.problems_checked")
     return FactorizationCertificate(
         parse_morphism(C, _need(data, "factored", path), f"{path}.factored"),
-        parse_morphism(C, _need(data, "left", path), f"{path}.left", most),
-        parse_morphism(C, _need(data, "right", path), f"{path}.right", most),
+        parse_morphism(C, _need(data, "left", path), f"{path}.left", len(steps_raw)),
+        parse_morphism(C, _need(data, "right", path), f"{path}.right", len(steps_raw)),
         tuple(steps),
         rlp,
         problems,

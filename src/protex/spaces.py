@@ -38,9 +38,9 @@ class WeightedSpace:
         return f"{tag}(dim={self.dim})"
 
 
-def rank_one(field: ValuedField, delta: Magnitude, label: Optional[str] = None) -> WeightedSpace:
+def rank_one(field: ValuedField, delta: Magnitude) -> WeightedSpace:
     """The free rank-one module with its single weight ``delta``."""
-    return WeightedSpace(field, (delta,), label)
+    return WeightedSpace(field, (delta,))
 
 
 @dataclass(frozen=True)

@@ -438,6 +438,95 @@ class TestPointedMapBounds:
         assert "generators[0].cod: 1000000000000 exceeds the bound 2" in proc.stderr
 
 
+def _vec_map(dom, cod):
+    """The zero map between F2 spaces with the given weights, as JSON."""
+    field = {"trivial": "F2"}
+    return {
+        "domain": {"field": field, "weights": dom},
+        "codomain": {"field": field, "weights": cod},
+        "matrix": [["0"] * len(dom) for _ in cod],
+    }
+
+
+def _vec_cert(step_mono=None, factored=None):
+    """A one-step finvec certificate of maps out of the zero space."""
+    small = _vec_map([], [])
+    step = {"generator_index": 0, "attach": small, "cell": small, "step_mono": step_mono or small}
+    return {"steps": [step], "factored": factored or small, "left": small, "right": small}
+
+
+class TestFinvecMapBounds:
+    """A finvec map read from input fits the instance: its spaces have at most
+    max_dim weights, or (1 + steps) * max_dim for a certificate leg, and each
+    weight is an instance weight."""
+
+    def run(self, tmp_path, capsys, argv, gens, **files):
+        """``argv`` on FINVEC_INSTANCE (max_dim 1) with generators ``gens``; one file per flag."""
+        argv = [*argv, "--instance", write(tmp_path, "inst.json", FINVEC_INSTANCE)]
+        argv += ["--generators", write(tmp_path, "gens.json", gens)]
+        for flag, data in files.items():
+            argv += [f"--{flag}", write(tmp_path, f"{flag}.json", data)]
+        return run_main(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "gen, message",
+        [
+            (_vec_map([], ["g^0", "g^0"]), "codomain.weights: dimension 2 exceeds max_dim 1 (bound 1)"),
+            (_vec_map(["g^0", "g^1"], []), "domain.weights: dimension 2 exceeds max_dim 1 (bound 1)"),
+            (_vec_map([], ["g^5"]), "codomain.weights: weight outside the instance weight set"),
+        ],
+    )
+    def test_generator_outside_the_instance_exits_2(self, tmp_path, capsys, gen, message):
+        obj = space_json(["g^0"], field={"trivial": "F2"})
+        code, out, err = self.run(tmp_path, capsys, ["factor"], [gen], object=obj)
+        assert code == 2 and not out
+        assert f"generators[0].{message}" in err
+
+    def test_map_beyond_max_dim_exits_2(self, tmp_path, capsys):
+        argv = ["factor", "--mode", "map"]
+        gens = [_vec_map([], ["g^0"])]
+        code, _, err = self.run(tmp_path, capsys, argv, gens, map=_vec_map([], ["g^1", "g^0"]))
+        assert code == 2
+        assert "map.codomain.weights: dimension 2 exceeds max_dim 1 (bound 1)" in err
+
+    def test_factored_map_beyond_max_dim_exits_2(self, tmp_path, capsys):
+        cert = _vec_cert(factored=_vec_map([], ["g^0", "g^0"]))
+        gens = [_vec_map([], ["g^0"])]
+        code, _, err = self.run(tmp_path, capsys, ["verify-cert"], gens, cert=cert)
+        assert code == 2
+        assert "certificate.factored.codomain.weights: dimension 2 exceeds" in err
+
+    def test_certificate_legs_may_grow_by_max_dim_per_step(self, tmp_path, capsys):
+        # one step: legs of up to (1 + 1) * 1 = 2 weights parse, and replay decides
+        gens = [_vec_map([], ["g^0"])]
+        cert = _vec_cert(step_mono=_vec_map([], ["g^0", "g^1"]))
+        code, out, _ = self.run(tmp_path, capsys, ["verify-cert"], gens, cert=cert)
+        assert code == 0 and "replay: fail" in out
+        cert = _vec_cert(step_mono=_vec_map([], ["g^0", "g^1", "g^1"]))
+        code, _, err = self.run(tmp_path, capsys, ["verify-cert"], gens, cert=cert)
+        assert code == 2
+        leg = "certificate.steps[0].step_mono.codomain.weights"
+        assert f"{leg}: dimension 3 exceeds max_dim 1 (bound 2)" in err
+
+    def test_wide_map_exits_2_at_once(self, tmp_path):
+        # unbounded, Hom((g^0), Y) would first list all 2 ** 30 vectors of Y; the child's
+        # address space is capped, so a regression fails fast
+        inst = {"kind": "finvec", "p": 2, "weights": ["g^0", "g^1"], "max_dim": 2}
+        argv = ["factor", "--mode", "map", "--instance", write(tmp_path, "inst.json", inst)]
+        argv += ["--map", write(tmp_path, "map.json", _vec_map(["g^0"], ["g^5"] * 30))]
+        capped = (
+            "import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "sys.argv[0] = 'protex'; runpy.run_module('protex.cli', run_name='__main__')"
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2, proc.stderr
+        assert "map.codomain.weights: dimension 30 exceeds max_dim 2 (bound 2)" in proc.stderr
+
+
 class TestExitContract:
     """Bad input exits 2, whatever form it takes; exhaustion exits 3."""
 

@@ -105,6 +105,19 @@ class TestOrthogonalize:
                 null_pivots=(),
             )
 
+    @pytest.mark.parametrize("weight", [E0, MAG_ZERO], ids=["weighted", "null"])
+    def test_pivot_entry_must_be_one(self, weight):
+        # |2| = 1 in Q3, so the norm is attained at the pivot; the entry is still not one
+        X = WeightedSpace(PAdicRationals(3), (weight,))
+        for entry, ok in ((Fraction(1), True), (Fraction(2), False)):
+            row, pivot = (vector(X, (entry,)),), (0,)
+            parts = (row, pivot, (), ()) if weight == E0 else ((), (), row, pivot)
+            if ok:
+                OrthoBasis(X, *parts)
+            else:
+                with pytest.raises(InvariantViolation, match="pivot 0 of row 0 is not one"):
+                    OrthoBasis(X, *parts)
+
     def test_orthogonality_certificate_random(self):
         rng = random.Random(21)
         for _ in range(150):
