@@ -35,6 +35,7 @@ from .spaces import (
     biproduct,
     bounded_map,
     compose,
+    contracts,
     identity_map,
     is_nonexpanding,
     norm,
@@ -126,10 +127,8 @@ def inverse_map(f: BoundedMap) -> Optional[BoundedMap]:
 
 def is_iso_nonexpanding(f: BoundedMap) -> bool:
     """Isomorphism in the non-expanding category: bijective, both legs of norm <= 1."""
-    if operator_norm(f) > MAG_ONE:
-        return False
-    inv = inverse_map(f)
-    return inv is not None and operator_norm(inv) <= MAG_ONE
+    inv = inverse_map(f) if operator_norm(f) <= MAG_ONE else None
+    return inv is not None and contracts(inv.domain, inv.codomain, inv.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +330,13 @@ class _MapAnalysis:
 
 def _contraction(domain: WeightedSpace, codomain: WeightedSpace, rows) -> Optional[BoundedMap]:
     """The bounded map with these rows if it has operator norm <= 1, else None."""
-    g = _checked_map(domain, codomain, rows)
-    return g if g is not None and operator_norm(g) <= MAG_ONE else None
+    ok = contracts(domain, codomain, rows)
+    return bounded_map(domain, codomain, rows, check=False) if ok else None
 
 
 def _isometric_iso(X: WeightedSpace, Y: WeightedSpace, rows, inv_rows) -> bool:
     """Whether ``rows``: X -> Y and its inverse ``inv_rows`` both have norm <= 1."""
-    return _contraction(X, Y, rows) is not None and _contraction(Y, X, inv_rows) is not None
+    return contracts(X, Y, rows) and contracts(Y, X, inv_rows)
 
 
 def _nonexpanding_analysis(f: BoundedMap) -> _MapAnalysis:

@@ -13,6 +13,7 @@ one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import constructions as con
@@ -143,6 +144,9 @@ class FinWeightedVec(WeightedModuleCategory):
         }
 
     def objects(self) -> list[WeightedSpace]:
+        count = math.comb(len(self.weights) + self.max_dim, self.max_dim)  # weight multisets
+        if count > self.hom_budget:
+            raise BudgetExceeded(f"{count} objects exceed the budget of {self.hom_budget}")
         out = []
         for d in range(self.max_dim + 1):
             for combo in itertools.combinations_with_replacement(

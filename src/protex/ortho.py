@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .scalars import Magnitude
-from .spaces import BoundedMap, Vector, WeightedSpace, basis_vector, bounded_map, norm
+from .spaces import BoundedMap, Vector, WeightedSpace, bounded_map, norm
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,13 @@ class OrthoBasis:
         return WeightedSpace(self.ambient.field, weights)
 
     def projection(self) -> BoundedMap:
-        """The quotient map: the residual of each coordinate vector, read on the complement."""
-        residuals = [self.residual(basis_vector(self.ambient, c)) for c in range(self.ambient.dim)]
-        rows = [[r.coords[d] for r in residuals] for d in self.complement]
+        """The quotient map: the residual of each coordinate vector, read on the complement;
+        at the pivot of v it is that coordinate vector minus v, by exclusivity."""
+        F, comp = self.ambient.field, self.complement
+        rows = [[F.one if c == d else F.zero for c in range(self.ambient.dim)] for d in comp]
+        for v, p in zip(self.vectors + self.null_vectors, self.pivots + self.null_pivots):
+            for row, d in zip(rows, comp):
+                row[p] = F.neg(v.coords[d])
         return bounded_map(self.ambient, self.quotient_space(), rows, check=False)
 
     def residual(self, m: Vector) -> Vector:

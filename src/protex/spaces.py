@@ -26,9 +26,6 @@ class WeightedSpace:
     def dim(self) -> int:
         return len(self.weights)
 
-    def is_null(self, i: int) -> bool:
-        return self.weights[i].is_zero
-
     @property
     def null_indices(self) -> tuple[int, ...]:
         return tuple(i for i, w in enumerate(self.weights) if w.is_zero)
@@ -49,10 +46,10 @@ class Vector:
     coords: tuple
 
     def __post_init__(self):
-        if len(self.coords) != self.space.dim:
+        n = len(self.space.weights)
+        if len(self.coords) != n:
             raise InvariantViolation(
-                f"vector has {len(self.coords)} coordinates in a "
-                f"{self.space.dim}-dimensional space"
+                f"vector has {len(self.coords)} coordinates in a {n}-dimensional space"
             )
 
     @property
@@ -121,14 +118,15 @@ class BoundedMap:
     def __post_init__(self):
         if self.domain.field != self.codomain.field:
             raise InvariantViolation("domain and codomain live over different fields")
-        if len(self.matrix) != self.codomain.dim:
+        m, n = len(self.codomain.weights), len(self.domain.weights)
+        if len(self.matrix) != m:
             raise InvariantViolation(
-                f"matrix has {len(self.matrix)} rows, codomain dimension is {self.codomain.dim}"
+                f"matrix has {len(self.matrix)} rows, codomain dimension is {m}"
             )
         for i, row in enumerate(self.matrix):
-            if len(row) != self.domain.dim:
+            if len(row) != n:
                 raise InvariantViolation(
-                    f"matrix row {i} has {len(row)} entries, domain dimension is {self.domain.dim}"
+                    f"matrix row {i} has {len(row)} entries, domain dimension is {n}"
                 )
         if self.check:
             for j in self.domain.null_indices:
@@ -191,23 +189,34 @@ def compose(g: BoundedMap, f: BoundedMap) -> BoundedMap:
     return bounded_map(f.domain, g.codomain, prod, check=False)
 
 
-def operator_norm(f: BoundedMap) -> Magnitude:
-    """max over non-null basis directions of ||f(e_i)|| / weight_i.
+def _stretches(domain: WeightedSpace, codomain: WeightedSpace, rows):
+    """``(j, s)`` per non-zero term ``|x| * w_i`` of ``rows``, x in column j: s is the
+    exponent of ``|x| * w_i / w_j`` for the domain weight w_j, or None when w_j is zero."""
+    F = domain.field
+    dom = [w.exponent for w in domain.weights]
+    for w, row in zip(codomain.weights, rows):
+        ec = w.exponent
+        if ec is not None:
+            for j, x in enumerate(row):
+                e = F.abs_exponent(x) if x else None
+                if e is not None:
+                    yield j, None if dom[j] is None else e + ec - dom[j]
 
-    Equals the sup of ||f(x)|| / ||x|| because the standard basis is
-    orthogonal for the max norm.
-    """
-    best = MAG_ZERO
-    for i, w in enumerate(f.domain.weights):
-        col_norm = norm(f.column(i))
-        if w.is_zero:
-            if not col_norm.is_zero:
-                raise UnboundedError(f"null direction at basis index {i} has a non-null image")
-            continue
-        ratio = col_norm / w
-        if ratio > best:
-            best = ratio
-    return best
+
+def contracts(domain: WeightedSpace, codomain: WeightedSpace, rows) -> bool:
+    """Whether the matrix ``rows`` keeps null directions null and has operator norm <= 1."""
+    return all(s is not None and s <= 0 for _, s in _stretches(domain, codomain, rows))
+
+
+def operator_norm(f: BoundedMap) -> Magnitude:
+    """max over non-null basis directions of ||f(e_i)|| / weight_i, read off entry exponents;
+    the sup of ||f(x)|| / ||x||, because the standard basis is orthogonal for the max norm."""
+    stretches = list(_stretches(f.domain, f.codomain, f.matrix))
+    null = min((j for j, s in stretches if s is None), default=None)
+    if null is not None:
+        raise UnboundedError(f"null direction at basis index {null} has a non-null image")
+    best = max((s for _, s in stretches), default=None)
+    return MAG_ZERO if best is None else _magnitude(best)
 
 
 def is_nonexpanding(f: BoundedMap) -> bool:
@@ -228,7 +237,7 @@ def rescale(space: WeightedSpace, delta: Magnitude) -> WeightedSpace:
 
 def separation(space: WeightedSpace) -> tuple[WeightedSpace, BoundedMap]:
     """Quotient by the null directions; returns the space and the projection."""
-    keep = [i for i in range(space.dim) if not space.is_null(i)]
+    keep = [i for i, w in enumerate(space.weights) if not w.is_zero]
     sep = WeightedSpace(space.field, tuple(space.weights[i] for i in keep), space.label)
     F = space.field
     rows = [[F.one if j == i else F.zero for j in range(space.dim)] for i in keep]

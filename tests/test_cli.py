@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from protex.category import Budget, audit_axioms, audit_obscure
 from protex.cli import main
+from protex.errors import BudgetExceeded
+from protex.finvec import FinWeightedVec
+from protex.scalars import MAG_ONE, Magnitude, PrimeField
 from protex.serialize import parse_instance
 
 FINVEC_INSTANCE = {"kind": "finvec", "p": 2, "weights": ["g^0", "g^1"], "max_dim": 1}
@@ -436,6 +439,41 @@ class TestPointedMapBounds:
         assert time.perf_counter() - start < 2
         assert proc.returncode == 2, proc.stderr
         assert "generators[0].cod: 1000000000000 exceeds the bound 2" in proc.stderr
+
+
+class TestUniverseBounds:
+    """An instance counts its objects in closed form before it builds them;
+    a universe past the enumeration cap is a budget exit, not a MemoryError."""
+
+    FINVEC_4 = {"kind": "finvec", "p": 2, "weights": ["g^0", "g^1", "g^2", "g^3"]}
+
+    @pytest.mark.parametrize(
+        "instance, message",
+        [
+            ({"kind": "pointed", "max_size": 10**9}, "1000000001 objects exceed the enumeration"),
+            ({**FINVEC_4, "max_dim": 10**5}, "4167083347916875001 objects exceed the budget"),
+        ],
+    )
+    def test_huge_universe_exits_3_at_once(self, tmp_path, instance, message):
+        argv = ["audit", "--instance", write(tmp_path, "inst.json", instance)]
+        capped = (
+            "import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "sys.argv[0] = 'protex'; runpy.run_module('protex.cli', run_name='__main__')"
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 3, proc.stderr
+        assert message in proc.stderr
+
+    def test_universe_at_the_cap_is_built(self):
+        # C(2 + 2, 2) = 6 objects fit a budget of 6 exactly; one fewer refuses them
+        weights = (MAG_ONE, Magnitude.of(1))
+        assert len(FinWeightedVec(PrimeField(2), weights, 2, hom_budget=6).objects()) == 6
+        with pytest.raises(BudgetExceeded):
+            FinWeightedVec(PrimeField(2), weights, 2, hom_budget=5).objects()
 
 
 def _vec_map(dom, cod):
