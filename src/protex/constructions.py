@@ -127,7 +127,9 @@ def inverse_map(f: BoundedMap) -> Optional[BoundedMap]:
 
 def is_iso_nonexpanding(f: BoundedMap) -> bool:
     """Isomorphism in the non-expanding category: bijective, both legs of norm <= 1."""
-    inv = inverse_map(f) if operator_norm(f) <= MAG_ONE else None
+    if not is_nonexpanding(f):
+        return False
+    inv = inverse_map(f)
     return inv is not None and contracts(inv.domain, inv.codomain, inv.matrix)
 
 

@@ -5,6 +5,8 @@ and fuel map to 3, everything else that completes reports verdicts
 inside the report and exits 0.
 """
 
+ENUMERATION_CAP = 1_000_000  # the most objects or maps an enumerable instance lists at once
+
 
 class ProtexError(Exception):
     """Base class for all package errors."""

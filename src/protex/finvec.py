@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import constructions as con
 from .category import CategoryInstance, Strictness
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import ENUMERATION_CAP, BudgetExceeded, InvariantViolation
 from .scalars import Magnitude, PrimeField, ValuedField, format_magnitude
 from .spaces import (
     BoundedMap,
@@ -145,8 +145,8 @@ class FinWeightedVec(WeightedModuleCategory):
 
     def objects(self) -> list[WeightedSpace]:
         count = math.comb(len(self.weights) + self.max_dim, self.max_dim)  # weight multisets
-        if count > self.hom_budget:
-            raise BudgetExceeded(f"{count} objects exceed the budget of {self.hom_budget}")
+        if count > ENUMERATION_CAP:
+            raise BudgetExceeded(f"{count} objects exceed the enumeration cap")
         out = []
         for d in range(self.max_dim + 1):
             for combo in itertools.combinations_with_replacement(

@@ -95,8 +95,7 @@ class OrthoBasis:
         return WeightedSpace(self.ambient.field, weights)
 
     def projection(self) -> BoundedMap:
-        """The quotient map: the residual of each coordinate vector, read on the complement;
-        at the pivot of v it is that coordinate vector minus v, by exclusivity."""
+        """The quotient map: each coordinate's residual on the complement (minus v at v's pivot)."""
         F, comp = self.ambient.field, self.complement
         rows = [[F.one if c == d else F.zero for c in range(self.ambient.dim)] for d in comp]
         for v, p in zip(self.vectors + self.null_vectors, self.pivots + self.null_pivots):

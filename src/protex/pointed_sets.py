@@ -18,9 +18,7 @@ from importlib import resources
 from typing import Optional
 
 from .category import AuditEntry, AuditReport, CategoryInstance, Strictness, audit_obscure
-from .errors import BudgetExceeded, InvariantViolation, NotComposable
-
-_CAP = 1_000_000  # the most objects or maps one enumeration may build
+from .errors import ENUMERATION_CAP, BudgetExceeded, InvariantViolation, NotComposable
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ def _strictness(f: PointedMap) -> Strictness:
 def _hom_set(ends: tuple[PointedSet, PointedSet]) -> tuple[PointedMap, ...]:
     X, Y = ends
     count = (Y.size + 1) ** X.size
-    if count > _CAP:
+    if count > ENUMERATION_CAP:
         raise BudgetExceeded(f"{count} candidate maps exceed the enumeration cap")
     return tuple(
         PointedMap(X, Y, (0, *tail)) for tail in itertools.product(range(Y.size + 1), repeat=X.size)
@@ -217,7 +215,7 @@ class FinPointedSet(CategoryInstance):
         return self._memoized("strictness", f, _strictness)
 
     def objects(self) -> list[PointedSet]:
-        if self.max_size >= _CAP:
+        if self.max_size + 1 > ENUMERATION_CAP:
             raise BudgetExceeded(f"{self.max_size + 1} objects exceed the enumeration cap")
         return [PointedSet(n) for n in range(self.max_size + 1)]
 

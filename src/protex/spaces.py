@@ -129,11 +129,7 @@ class BoundedMap:
                     f"matrix row {i} has {len(row)} entries, domain dimension is {n}"
                 )
         if self.check:
-            for j in self.domain.null_indices:
-                if not norm(self.column(j)).is_zero:
-                    raise InvariantViolation(
-                        f"null direction at basis index {j} has a non-null image"
-                    )
+            _reject_null_images(self.domain, self.codomain, self.matrix, InvariantViolation)
 
     def column(self, j: int) -> Vector:
         return Vector(self.codomain, tuple(row[j] for row in self.matrix))
@@ -189,9 +185,16 @@ def compose(g: BoundedMap, f: BoundedMap) -> BoundedMap:
     return bounded_map(f.domain, g.codomain, prod, check=False)
 
 
+def _reject_null_images(domain: WeightedSpace, codomain: WeightedSpace, rows, error) -> None:
+    """Raise ``error`` at the least null basis index that ``rows`` maps to a non-null vector."""
+    F, cod = domain.field, codomain.weights
+    for j in domain.null_indices:
+        if any(not F.is_zero(r[j]) for w, r in zip(cod, rows) if w.exponent is not None):
+            raise error(f"null direction at basis index {j} has a non-null image")
+
+
 def _stretches(domain: WeightedSpace, codomain: WeightedSpace, rows):
-    """``(j, s)`` per non-zero term ``|x| * w_i`` of ``rows``, x in column j: s is the
-    exponent of ``|x| * w_i / w_j`` for the domain weight w_j, or None when w_j is zero."""
+    """``(j, s)`` per non-zero ``|x| w_i``, x in column j: s = e(|x| w_i / w_j), None if w_j = 0."""
     F = domain.field
     dom = [w.exponent for w in domain.weights]
     for w, row in zip(codomain.weights, rows):
@@ -209,13 +212,9 @@ def contracts(domain: WeightedSpace, codomain: WeightedSpace, rows) -> bool:
 
 
 def operator_norm(f: BoundedMap) -> Magnitude:
-    """max over non-null basis directions of ||f(e_i)|| / weight_i, read off entry exponents;
-    the sup of ||f(x)|| / ||x||, because the standard basis is orthogonal for the max norm."""
-    stretches = list(_stretches(f.domain, f.codomain, f.matrix))
-    null = min((j for j, s in stretches if s is None), default=None)
-    if null is not None:
-        raise UnboundedError(f"null direction at basis index {null} has a non-null image")
-    best = max((s for _, s in stretches), default=None)
+    """sup of ||f(x)|| / ||x||: the max of ||f(e_i)|| / w_i over non-null w_i (orthogonal basis)."""
+    _reject_null_images(f.domain, f.codomain, f.matrix, UnboundedError)
+    best = max((s for _, s in _stretches(f.domain, f.codomain, f.matrix)), default=None)
     return MAG_ZERO if best is None else _magnitude(best)
 
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from protex import finvec, pointed_sets
 from protex.category import Budget, audit_axioms, audit_obscure
 from protex.cli import main
 from protex.errors import BudgetExceeded
 from protex.finvec import FinWeightedVec
+from protex.pointed_sets import FinPointedSet
 from protex.scalars import MAG_ONE, Magnitude, PrimeField
 from protex.serialize import parse_instance
 
@@ -451,7 +453,7 @@ class TestUniverseBounds:
         "instance, message",
         [
             ({"kind": "pointed", "max_size": 10**9}, "1000000001 objects exceed the enumeration"),
-            ({**FINVEC_4, "max_dim": 10**5}, "4167083347916875001 objects exceed the budget"),
+            ({**FINVEC_4, "max_dim": 10**5}, "4167083347916875001 objects exceed the enumeration"),
         ],
     )
     def test_huge_universe_exits_3_at_once(self, tmp_path, instance, message):
@@ -468,12 +470,24 @@ class TestUniverseBounds:
         assert proc.returncode == 3, proc.stderr
         assert message in proc.stderr
 
-    def test_universe_at_the_cap_is_built(self):
-        # C(2 + 2, 2) = 6 objects fit a budget of 6 exactly; one fewer refuses them
-        weights = (MAG_ONE, Magnitude.of(1))
-        assert len(FinWeightedVec(PrimeField(2), weights, 2, hom_budget=6).objects()) == 6
-        with pytest.raises(BudgetExceeded):
-            FinWeightedVec(PrimeField(2), weights, 2, hom_budget=5).objects()
+    @pytest.mark.parametrize(
+        "module, instance",
+        [
+            (finvec, FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2)),
+            (pointed_sets, FinPointedSet(max_size=5)),
+        ],
+    )
+    def test_universe_at_the_cap_is_built(self, monkeypatch, module, instance):
+        # both universes have 6 objects: C(2 + 2, 2) weight multisets, sizes 0..5
+        monkeypatch.setattr(module, "ENUMERATION_CAP", 6)
+        assert len(instance.objects()) == 6
+        monkeypatch.setattr(module, "ENUMERATION_CAP", 5)
+        with pytest.raises(BudgetExceeded, match="6 objects exceed the enumeration cap"):
+            instance.objects()
+
+    def test_hom_budget_does_not_bound_the_universe(self):
+        C = FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2, hom_budget=2)
+        assert len(C.objects()) == 6
 
 
 def _vec_map(dom, cod):

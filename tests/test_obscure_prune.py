@@ -166,7 +166,9 @@ def outcome(audit, C, budget):
 )
 @pytest.mark.parametrize("audit, reference", SIDES)
 def test_hom_cap_and_budget_fire_in_reference_order(audit, reference, hom_budget, budget):
-    # each side gets fresh instances, so the hom-set cap fires on first enumeration
+    # each side gets fresh instances, so the hom-set cap fires on first enumeration;
+    # the 6 objects are listed whatever the hom-set cap, so both sides reach the audit
+    assert len(finvec(hom_budget=hom_budget).objects()) == 6
     expected = outcome(reference, finvec(hom_budget=hom_budget), budget)
     assert outcome(audit, finvec(hom_budget=hom_budget), budget) == expected
 
