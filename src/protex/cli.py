@@ -11,6 +11,7 @@ budget exhausted.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -32,6 +33,7 @@ from .constructions import (
     pushout,
 )
 from .errors import (
+    ENUMERATION_CAP,
     BudgetExceeded,
     FuelExhausted,
     InvariantViolation,
@@ -325,12 +327,20 @@ def _cmd_oracle_check(args):
     F2 = PrimeField(2)
     weights = (MAG_ONE, Magnitude.of(1), Magnitude.of(2))
     C = FinWeightedVec(F2, weights, max_dim=args.max_dim)
+    spaces = C.objects()
+    # subspaces(S) spans every generator tuple of S: sum_r C(2^d, r) * 2^r sums at d = dim S
+    spans = 0
+    for space in spaces:
+        spans += sum(math.comb(2**space.dim, r) * 2**r for r in range(space.dim + 1))
+        if spans > ENUMERATION_CAP:
+            raise BudgetExceeded(f"more than {ENUMERATION_CAP} subspace spans requested")
     compared = 0
     mismatches = 0
-    for space in C.objects():
+    for space in spaces:
+        vectors = C.vectors(space)
         for gens in C.subspaces(space):
             basis = orthogonalize(space, list(gens))
-            for m in C.vectors(space):
+            for m in vectors:
                 compared += 1
                 if quotient_norm(basis, m) != C.brute_quotient_norm(list(gens), m):
                     mismatches += 1

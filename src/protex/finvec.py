@@ -4,10 +4,10 @@
 contract (kernels, cokernels, solvers, squares).  ``FinWeightedVec``
 restricts to a finite universe over a prime field with a fixed weight set
 and dimension bound, where every hom-set is finite: morphism enumeration
-builds columns from the vectors of small enough norm, so the non-expanding
-and null-direction constraints are enforced by construction.  It also
-carries the brute-force quotient-norm oracle used against the algorithmic
-one.
+frees each column entry only where the codomain weight is at most the
+domain weight, so the non-expanding and null-direction constraints are
+enforced by construction.  It also carries the brute-force quotient-norm
+oracle used against the algorithmic one.
 """
 
 from __future__ import annotations
@@ -156,9 +156,6 @@ class FinWeightedVec(WeightedModuleCategory):
         return out
 
     def vectors(self, space: WeightedSpace) -> tuple[Vector, ...]:
-        return self._memoized("vectors", space, self._all_vectors)
-
-    def _all_vectors(self, space: WeightedSpace) -> tuple[Vector, ...]:
         return tuple(
             Vector(space, coords)
             for coords in itertools.product(range(self.field.p), repeat=space.dim)
@@ -170,17 +167,14 @@ class FinWeightedVec(WeightedModuleCategory):
     def _hom_set(self, ends) -> tuple[BoundedMap, ...]:
         X, Y = ends
         # the trivial absolute value makes norm(v) the largest weight in the
-        # support of v, so a column of weight w has p ** #{weights <= w} choices
-        count = 1
-        for w in X.weights:
-            count *= self.field.p ** sum(1 for y in Y.weights if y <= w)
-            if count > self.hom_budget:
-                raise BudgetExceeded(
-                    f"hom-set of more than {self.hom_budget} maps requested"
-                )
-        columns = [[v for v in self.vectors(Y) if norm(v) <= w] for w in X.weights]
+        # support of v, so a column of weight w is free exactly where y <= w
+        p = self.field.p
+        choices = [[range(p) if y <= w else (0,) for y in Y.weights] for w in X.weights]
+        if math.prod(len(c) for column in choices for c in column) > self.hom_budget:
+            raise BudgetExceeded(f"hom-set of more than {self.hom_budget} maps requested")
+        columns = (itertools.product(*column) for column in choices)
         return tuple(
-            bounded_map(X, Y, [[col.coords[i] for col in combo] for i in range(Y.dim)], check=False)
+            bounded_map(X, Y, [[col[i] for col in combo] for i in range(Y.dim)], check=False)
             for combo in itertools.product(*columns)
         )
 

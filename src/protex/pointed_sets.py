@@ -61,17 +61,8 @@ def is_strict_mono_map(f: PointedMap) -> bool:
 
 def is_strict_epi_map(f: PointedMap) -> bool:
     """Surjective and injective when restricted to the complement of f^{-1}(0)."""
-    if set(f.images) != set(f.cod.elements):
-        return False
-    seen = set()
-    for x in f.dom.elements:
-        y = f(x)
-        if y == 0:
-            continue
-        if y in seen:
-            return False
-        seen.add(y)
-    return True
+    hits = [y for y in f.images if y != 0]
+    return is_epi_map(f) and len(set(hits)) == len(hits)
 
 
 def is_epi_map(f: PointedMap) -> bool:
@@ -203,7 +194,7 @@ class FinPointedSet(CategoryInstance):
         return PointedMap(q_proj.cod, f.cod, tuple(images))
 
     def is_iso(self, f: PointedMap) -> bool:
-        return f.dom.size == f.cod.size and len(set(f.images)) == len(f.images)
+        return f.dom.size == f.cod.size and is_strict_mono_map(f)
 
     def is_mono(self, f: PointedMap) -> bool:
         return is_strict_mono_map(f)  # injective; every mono here is strict

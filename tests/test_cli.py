@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from protex import finvec, pointed_sets
+from protex import cli, finvec, pointed_sets
 from protex.category import Budget, audit_axioms, audit_obscure
 from protex.cli import main
 from protex.errors import BudgetExceeded
@@ -488,6 +488,31 @@ class TestUniverseBounds:
     def test_hom_budget_does_not_bound_the_universe(self):
         C = FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2, hom_budget=2)
         assert len(C.objects()) == 6
+
+    def test_oracle_check_past_the_subspace_cap_exits_3_at_once(self):
+        # 21 spaces of dimension 5 cost 7,061,121 spans each; unbounded, this ran past 60 s
+        argv = [sys.executable, "-m", "protex.cli", "oracle-check", "--max-dim", "5"]
+        start = time.perf_counter()
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=10)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 3, proc.stderr
+        assert "more than 1000000 subspace spans requested" in proc.stderr
+
+    def test_oracle_check_subspace_cap_is_exact(self, monkeypatch, capsys):
+        # max_dim 1 over three weights: the zero space spans 1 tuple, each line 1 + 2 * 2
+        argv = ["oracle-check", "--max-dim", "1", "--trials", "1", "--format", "json"]
+        monkeypatch.setattr(cli, "ENUMERATION_CAP", 16)
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0 and json.loads(out)["result"]["passed"]
+        monkeypatch.setattr(cli, "ENUMERATION_CAP", 15)
+        code, _, err = run_main(argv, capsys)
+        assert code == 3 and "more than 15 subspace spans requested" in err
+
+    def test_oracle_check_below_the_subspace_cap_runs_in_full(self, capsys):
+        argv = ["oracle-check", "--max-dim", "3", "--trials", "1", "--format", "json"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["checks"][0]["cases"] == 1413
 
 
 def _vec_map(dom, cod):
