@@ -327,13 +327,15 @@ def _cmd_oracle_check(args):
     F2 = PrimeField(2)
     weights = (MAG_ONE, Magnitude.of(1), Magnitude.of(2))
     C = FinWeightedVec(F2, weights, max_dim=args.max_dim)
-    spaces = C.objects()
-    # subspaces(S) spans every generator tuple of S: sum_r C(2^d, r) * 2^r sums at d = dim S
+    # subspaces(S) spans every generator tuple of S: sum_r C(2^d, r) * 2^r sums at d = dim S,
+    # and C(|W| + d - 1, d) spaces have dimension d, so the bound needs no space listed
     spans = 0
-    for space in spaces:
-        spans += sum(math.comb(2**space.dim, r) * 2**r for r in range(space.dim + 1))
+    for d in range(args.max_dim + 1):
+        per_space = sum(math.comb(2**d, r) * 2**r for r in range(d + 1))
+        spans += math.comb(len(weights) + d - 1, d) * per_space
         if spans > ENUMERATION_CAP:
             raise BudgetExceeded(f"more than {ENUMERATION_CAP} subspace spans requested")
+    spaces = C.objects()
     compared = 0
     mismatches = 0
     for space in spaces:

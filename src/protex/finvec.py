@@ -132,6 +132,10 @@ class FinWeightedVec(WeightedModuleCategory):
             raise InvariantViolation("the enumerable instance needs a prime field")
         if not self.weights:
             raise InvariantViolation("the enumerable instance needs a weight set")
+        for i, w in enumerate(self.weights):
+            if w in self.weights[:i]:
+                # a repeated weight would list the same space twice
+                raise InvariantViolation(f"weights: {format_magnitude(w)} is listed twice")
 
     name = "finite-weighted-vec"
 

@@ -86,16 +86,6 @@ def norm(v: Vector) -> Magnitude:
     return MAG_ZERO if best is None else _magnitude(best)
 
 
-def add_vectors(u: Vector, v: Vector) -> Vector:
-    F = u.space.field
-    return Vector(u.space, tuple(F.add(a, b) for a, b in zip(u.coords, v.coords)))
-
-
-def scale_vector(a, v: Vector) -> Vector:
-    F = v.space.field
-    return Vector(v.space, tuple(F.mul(a, c) for c in v.coords))
-
-
 # ---------------------------------------------------------------------------
 # Bounded maps
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import zlib
 import pytest
 
 import proptools
+from proptools import add_vectors, scale_vector
 from protex import (
     MAG_ONE,
     MAG_ZERO,
@@ -43,7 +44,7 @@ from protex.category import admissible_monos, is_injective_object
 from protex.pointed_sets import is_strict_epi_map, is_strict_mono_map
 from protex.randgen import random_space, random_vector
 from protex.scalars import PAdicRationals
-from protex.spaces import Vector, add_vectors, scale_vector, zero_vector
+from protex.spaces import Vector, zero_vector
 
 F2 = PrimeField(2)
 E0, E1, E2 = MAG_ONE, Magnitude.of(1), Magnitude.of(2)

@@ -34,12 +34,8 @@ from protex import linalg
 from protex.category import LiftingSearch, Strictness, admissible_monos
 from protex.errors import BudgetExceeded, NotComposable, SolverUnavailable
 from protex.pointed_sets import PointedMap, PointedSet
-from protex.randgen import (
-    random_nonexpanding_map,
-    random_space,
-    random_strict_epi,
-    random_strict_mono,
-)
+from proptools import random_nonexpanding_map, random_strict_epi, random_strict_mono
+from protex.randgen import random_space
 
 Q2 = PAdicRationals(2)
 F2 = PrimeField(2)

@@ -489,12 +489,14 @@ class TestUniverseBounds:
         C = FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2, hom_budget=2)
         assert len(C.objects()) == 6
 
-    def test_oracle_check_past_the_subspace_cap_exits_3_at_once(self):
-        # 21 spaces of dimension 5 cost 7,061,121 spans each; unbounded, this ran past 60 s
-        argv = [sys.executable, "-m", "protex.cli", "oracle-check", "--max-dim", "5"]
+    @pytest.mark.parametrize("max_dim", ["5", "179", "1000000"])
+    def test_oracle_check_past_the_subspace_cap_exits_3_at_once(self, max_dim):
+        # 21 spaces of dimension 5 cost 7,061,121 spans each; unbounded, this ran past 60 s.
+        # 179 is 988,260 spaces, under the object cap: listing them before the bound took 14 s
+        argv = [sys.executable, "-m", "protex.cli", "oracle-check", "--max-dim", max_dim]
         start = time.perf_counter()
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=10)
-        assert time.perf_counter() - start < 2
+        assert time.perf_counter() - start < 1
         assert proc.returncode == 3, proc.stderr
         assert "more than 1000000 subspace spans requested" in proc.stderr
 
@@ -668,6 +670,16 @@ class TestExitContract:
         code, _, err = run_main(["audit", "--instance", inst, "--budget", "0"], capsys)
         assert code == 3
         assert "audit budget 0 exceeded" in err
+
+    @pytest.mark.parametrize("weights", [["g^0", "g^0"], ["g^1", "g^2/2"]])
+    def test_repeated_weight_exits_2(self, tmp_path, capsys, weights):
+        # a repeated weight listed a space twice, inflating every audit and precover count
+        inst = write(tmp_path, "inst.json", dict(FINVEC_INSTANCE, weights=weights))
+        obj = write(tmp_path, "obj.json", {"field": {"trivial": "F2"}, "weights": ["g^0"]})
+        for argv in (["audit"], ["factor", "--mode", "precover", "--object", obj]):
+            code, _, err = run_main([*argv, "--instance", inst], capsys)
+            assert code == 2
+            assert f"weights: {weights[0]} is listed twice" in err
 
     def test_weight_too_long_to_print_exits_2(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", dict(FINVEC_INSTANCE, weights=["g^0", "g^1e5000"]))

@@ -38,14 +38,13 @@ from protex import linalg
 from protex.constructions import is_iso_nonexpanding, retraction, section, strict_flags
 from protex.errors import NotComposable, NotNonExpanding, NotSpanning
 from protex.finvec import FinWeightedVec
-from protex.randgen import (
+from proptools import (
     random_isometric_auto,
     random_nonexpanding_map,
-    random_space,
     random_strict_epi,
     random_strict_mono,
-    random_vector,
 )
+from protex.randgen import random_space, random_vector
 
 Q2 = PAdicRationals(2)
 F2 = PrimeField(2)

@@ -16,6 +16,7 @@ from protex import (
     operator_norm,
     quotient_norm,
     orthogonalize,
+    parse_magnitude,
     rank_one,
     vector,
 )
@@ -38,6 +39,12 @@ class TestEnumeration:
             FinWeightedVec(PAdicRationals(2), (E0,), max_dim=1)
         with pytest.raises(InvariantViolation):
             FinWeightedVec(F2, (), max_dim=1)
+
+    def test_repeated_weight_is_refused(self):
+        with pytest.raises(InvariantViolation, match="weights: g\\^0 is listed twice"):
+            FinWeightedVec(F2, (E0, E1, E0), max_dim=1)
+        with pytest.raises(InvariantViolation, match="weights: g\\^1 is listed twice"):
+            FinWeightedVec(F2, (E1, parse_magnitude("g^2/2")), max_dim=1)
 
     def test_hom_set_counts(self):
         C = FinWeightedVec(F2, (E0, E1), max_dim=2)

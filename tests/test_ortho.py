@@ -19,9 +19,10 @@ from protex import (
     quotient_norm,
     vector,
 )
+from proptools import add_vectors, scale_vector
 from protex.errors import InvariantViolation
 from protex.randgen import random_space, random_vector
-from protex.spaces import Vector, add_vectors, scale_vector, zero_vector
+from protex.spaces import Vector, zero_vector
 
 F2 = PrimeField(2)
 Q2 = PAdicRationals(2)

@@ -20,7 +20,8 @@ from protex.category import admissible_monos
 from protex.errors import InvariantViolation, ParseError, SolverUnavailable
 from protex.factorization import factor_map
 from protex.pointed_sets import PointedMap, PointedSet
-from protex.randgen import random_nonexpanding_map, random_space
+from proptools import random_nonexpanding_map
+from protex.randgen import random_space
 
 E0, E1 = MAG_ONE, Magnitude.of(1)
 

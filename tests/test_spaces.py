@@ -99,7 +99,8 @@ class TestOperatorNorm:
     def test_sup_realized_on_random_vectors(self):
         import random
 
-        from protex.randgen import random_nonexpanding_map, random_space, random_vector
+        from proptools import random_nonexpanding_map
+        from protex.randgen import random_space, random_vector
 
         rng = random.Random(3)
         for _ in range(200):
