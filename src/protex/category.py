@@ -13,7 +13,6 @@ witnesses.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -56,6 +55,13 @@ class CategoryInstance(ABC):
     ``b -> b o f`` is injective on every Hom(cod f, W).  Every strict mono
     must be a mono and every strict epi an epi: the obscure audits rely on
     this "strict implies plain" to skip the factors that cannot fail.
+
+    ``pullback_leg_strictness(f, g)`` must equal ``strictness`` of the
+    pullback's second leg p2, and ``pushout_leg_strictness(i, g)`` that of
+    the pushout's second leg j2; the square audits read only these.  An
+    instance may decide them without building the square.  A subclass that
+    overrides ``strictness`` must override them too (the defaults here build
+    the square and read the leg through ``strictness``).
     """
 
     name: str = "category"
@@ -121,6 +127,14 @@ class CategoryInstance(ABC):
 
     def pushout(self, i: Mor, g: Mor):
         raise SolverUnavailable(f"{self.name} does not construct pushouts")
+
+    def pullback_leg_strictness(self, f: Mor, g: Mor) -> Strictness:
+        """Strictness of the pullback square's leg p2, the pullback of f along g."""
+        return self.strictness(self.pullback(f, g).p2)
+
+    def pushout_leg_strictness(self, i: Mor, g: Mor) -> Strictness:
+        """Strictness of the pushout square's leg j2, the pushout of i along g."""
+        return self.strictness(self.pushout(i, g).j2)
 
     def solve_rlp(self, f: Mor, g: Mor) -> tuple[bool, bool]:
         """Instance shortcut deciding RLP of f against g for all squares at once."""
@@ -359,9 +373,11 @@ def audit_axioms(
     replayable witness.
 
     The pushout audits are the pullback audits of the opposite category.
-    A total audit whose restricted audit passed builds no square along a
-    strict mono (epi): those are the restricted cases, known to pass.  They
-    are still charged to the budget, so its threshold does not change.
+    Each square case reads one leg's strictness (``pullback_leg_strictness``,
+    ``pushout_leg_strictness``).  A total audit whose restricted audit passed
+    reads no square along a strict mono (epi): those are the restricted
+    cases, known to pass.  They are still charged to the budget, so its
+    threshold does not change.
 
     ``budget`` is a limit, or a ``Budget`` that several audits charge in turn.
     """
@@ -445,15 +461,19 @@ def _scan(name: str, budget: Budget, cases: Iterable[tuple[int, Optional[dict]]]
 
 # the four flag pairs, indexed [strict_mono][strict_epi]
 _STRICTNESS = tuple(tuple(Strictness(m, e) for e in (False, True)) for m in (False, True))
-_Legs = namedtuple("_Legs", "p1 p2")
+
+
+def _swapped(s: Strictness) -> Strictness:
+    return _STRICTNESS[s.strict_epi][s.strict_mono]
 
 
 @dataclass(frozen=True)
 class _Opposite:
     """C^op, as far as the audits read it: each dual audit is the primal
     audit run here.  Hom-sets and composition are reversed, strict monos
-    and strict epis (and monos and epis) swap, and a pullback is a pushout
-    of C.  The morphisms are C's own, so witnesses describe them as C does.
+    and strict epis (and monos and epis) swap, and a pullback leg is a
+    pushout leg of C.  The morphisms are C's own, so witnesses describe
+    them as C does.
     """
 
     C: CategoryInstance
@@ -465,15 +485,13 @@ class _Opposite:
         return self.C.compose(f, g)
 
     def strictness(self, f: Mor) -> Strictness:
-        s = self.C.strictness(f)
-        return _STRICTNESS[s.strict_epi][s.strict_mono]
+        return _swapped(self.C.strictness(f))
 
     def is_mono(self, f: Mor) -> bool:
         return self.C.is_epi(f)
 
-    def pullback(self, f: Mor, g: Mor) -> _Legs:
-        square = self.C.pushout(f, g)
-        return _Legs(square.j1, square.j2)
+    def pullback_leg_strictness(self, f: Mor, g: Mor) -> Strictness:
+        return _swapped(self.C.pushout_leg_strictness(f, g))
 
     def describe_morphism(self, f: Mor) -> Any:
         return self.C.describe_morphism(f)
@@ -506,7 +524,7 @@ def _pullback_cases(C, objs: list, key: str, restricted=None):
     Without ``restricted`` g runs over the strict monos; with it (the
     restricted audit's entry) over every map.  If that audit passed, the
     pairs whose g is a strict mono are its cases, known to pass: they are
-    charged to the budget in the one charge, but not built.  On
+    charged to the budget in the one charge, but not read.  On
     ``_Opposite(C)`` this audits pushouts of strict monos in C.  A failure's
     witness names e by ``key`` and g by ``along``.
     """
@@ -521,7 +539,7 @@ def _pullback_cases(C, objs: list, key: str, restricted=None):
             cases += [(e, g) for g in todo]
     yield charged, None
     for e, g in cases:
-        if not C.strictness(C.pullback(e, g).p2).strict_epi:
+        if not C.pullback_leg_strictness(e, g).strict_epi:
             yield 0, _witness(C, **{key: e, "along": g})
 
 

@@ -55,14 +55,27 @@ class PointedMap:
         return self.images[x]
 
 
+def _image_strictness(images: tuple[int, ...], cod_size: int) -> Strictness:
+    """Strictness of the pointed map with these images into {0, ..., cod_size}.
+
+    A strict mono is injective.  A strict epi is surjective and injective
+    when restricted to the complement of f^{-1}(0): since the basepoint maps
+    to 0, its values are all of the codomain, and the non-base values are
+    hit once each.
+    """
+    hit = len(set(images))
+    return Strictness(
+        hit == len(images),
+        hit == cod_size + 1 and len(images) - images.count(0) == hit - 1,
+    )
+
+
 def is_strict_mono_map(f: PointedMap) -> bool:
-    return len(set(f.images)) == len(f.images)
+    return _image_strictness(f.images, f.cod.size).strict_mono
 
 
 def is_strict_epi_map(f: PointedMap) -> bool:
-    """Surjective and injective when restricted to the complement of f^{-1}(0)."""
-    hits = [y for y in f.images if y != 0]
-    return is_epi_map(f) and len(set(hits)) == len(hits)
+    return _image_strictness(f.images, f.cod.size).strict_epi
 
 
 def is_epi_map(f: PointedMap) -> bool:
@@ -70,7 +83,7 @@ def is_epi_map(f: PointedMap) -> bool:
 
 
 def _strictness(f: PointedMap) -> Strictness:
-    return Strictness(is_strict_mono_map(f), is_strict_epi_map(f))
+    return _image_strictness(f.images, f.cod.size)
 
 
 def _hom_set(ends: tuple[PointedSet, PointedSet]) -> tuple[PointedMap, ...]:
@@ -81,6 +94,59 @@ def _hom_set(ends: tuple[PointedSet, PointedSet]) -> tuple[PointedMap, ...]:
     return tuple(
         PointedMap(X, Y, (0, *tail)) for tail in itertools.product(range(Y.size + 1), repeat=X.size)
     )
+
+
+def _pullback_pairs(f: PointedMap, g: PointedMap) -> list[tuple[int, int]]:
+    """The elements of the pullback of f and g: the pairs (x, y) with f(x) = g(y).
+
+    The base pair (0, 0) comes first, then the others with x outer, y inner.
+    """
+    if f.cod != g.cod:
+        raise NotComposable("pullback needs a common codomain")
+    pairs = [(0, 0)]
+    pairs += [
+        (x, y)
+        for x, a in enumerate(f.images)
+        for y, b in enumerate(g.images)
+        if a == b and (x or y)
+    ]
+    return pairs
+
+
+def _pushout_labels(i: PointedMap, g: PointedMap) -> tuple[list[int], int]:
+    """The pushout class of each node, and the number of non-base classes.
+
+    Node 0 is the base, 1..n the elements of i's target and n+1..n+m those
+    of g's.  Classes are numbered in order of their smallest nodes, so the
+    base class is 0.
+    """
+    if i.dom != g.dom:
+        raise NotComposable("pushout needs a common domain")
+    # every parent link points to a smaller node, so each root is the
+    # smallest node of its class
+    n = i.cod.size
+    parent = list(range(n + g.cod.size + 1))
+    for a, b in zip(i.images, g.images):
+        if b:
+            b += n
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+    # a node's parent is smaller, so its label is already known
+    label = []
+    count = 0
+    for v, p in enumerate(parent):
+        if p == v:
+            label.append(count)
+            count += 1
+        else:
+            label.append(label[p])
+    return label, count - 1
 
 
 @dataclass(frozen=True)
@@ -214,53 +280,28 @@ class FinPointedSet(CategoryInstance):
         return self._memoized("homs", (X, Y), _hom_set)
 
     def pullback(self, f: PointedMap, g: PointedMap) -> _PSetPullback:
-        if f.cod != g.cod:
-            raise NotComposable("pullback needs a common codomain")
-        pairs = [(0, 0)]
-        pairs += [
-            (x, y)
-            for x in f.dom.elements
-            for y in g.dom.elements
-            if (x, y) != (0, 0) and f(x) == g(y)
-        ]
+        pairs = _pullback_pairs(f, g)
         P = PointedSet(len(pairs) - 1)
         p1 = PointedMap(P, f.dom, tuple(x for x, _ in pairs))
         p2 = PointedMap(P, g.dom, tuple(y for _, y in pairs))
         return _PSetPullback(P, tuple(pairs), p1, p2)
 
     def pushout(self, i: PointedMap, g: PointedMap) -> _PSetPushout:
-        if i.dom != g.dom:
-            raise NotComposable("pushout needs a common domain")
-        # node 0 is the base, 1..n the elements of i's target and n+1..n+m those
-        # of g's; every parent link points to a smaller node, so each root is
-        # the smallest node of its class
+        label, size = _pushout_labels(i, g)
         n = i.cod.size
-        parent = list(range(n + g.cod.size + 1))
-        for a, b in zip(i.images, g.images):
-            if b:
-                b += n
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                if b < a:
-                    a, b = b, a
-                parent[b] = a
-        # number the classes in order of their roots, the base class first; a
-        # node's parent is smaller, so its label is already known
-        label = []
-        count = 0
-        for v, p in enumerate(parent):
-            if p == v:
-                label.append(count)
-                count += 1
-            else:
-                label.append(label[p])
-        Q = PointedSet(count - 1)
+        Q = PointedSet(size)
         j1 = PointedMap(i.cod, Q, tuple(label[: n + 1]))
         j2 = PointedMap(g.cod, Q, (0, *label[n + 1 :]))
         return _PSetPushout(Q, j1, j2)
+
+    def pullback_leg_strictness(self, f: PointedMap, g: PointedMap) -> Strictness:
+        """Read off p2's image tuple, the y of the pairs; no square is built."""
+        return _image_strictness(tuple(y for _, y in _pullback_pairs(f, g)), g.dom.size)
+
+    def pushout_leg_strictness(self, i: PointedMap, g: PointedMap) -> Strictness:
+        """Read off j2's image tuple from the class labels; no square is built."""
+        label, size = _pushout_labels(i, g)
+        return _image_strictness((0, *label[i.cod.size + 1 :]), size)
 
     def describe_object(self, X: PointedSet) -> dict:
         return {"size": X.size}

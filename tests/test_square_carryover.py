@@ -14,6 +14,7 @@ from protex import FinPointedSet, FinWeightedVec, audit_axioms
 from protex.category import (
     AuditEntry,
     Budget,
+    CategoryInstance,
     Strictness,
     _composition_cases,
     _identity_cases,
@@ -76,8 +77,14 @@ class LyingPointed(FinPointedSet):
 
     Its pushout along the strict epi (0, 0, 1) glues everything to the base,
     so the restricted pushout audit fails, and the first failure of the
-    total pushout audit is that same shared case.
+    total pushout audit is that same shared case.  The square legs are read
+    through this ``strictness`` (the contract for overriding it), so the
+    lie also holds for a leg equal to the collapse, such as the pushout of
+    the collapse along an identity.
     """
+
+    pullback_leg_strictness = CategoryInstance.pullback_leg_strictness
+    pushout_leg_strictness = CategoryInstance.pushout_leg_strictness
 
     def strictness(self, f):
         s = super().strictness(f)
@@ -121,20 +128,36 @@ def test_failed_restricted_audit_is_rescanned():
     assert audit_axioms(C, total=True).entry("mono_pushout_total") == total
 
 
+def test_the_lie_reaches_the_square_legs():
+    """Both leg read-offs of the lying instance go through its ``strictness``."""
+    C = LyingPointed(max_size=2)
+    one, two = C.identity(COLLAPSE.cod), C.identity(COLLAPSE.dom)
+    assert C.pullback(COLLAPSE, one).p2 == COLLAPSE
+    assert C.pushout(COLLAPSE, two).j2 == COLLAPSE
+    assert C.pullback_leg_strictness(COLLAPSE, one).strict_mono
+    assert C.pushout_leg_strictness(COLLAPSE, two).strict_mono
+
+
 def test_no_square_is_built_twice(monkeypatch):
-    """With both restricted audits passing, the total audits rebuild none of their squares."""
+    """With both restricted audits passing, the total audits read none of their squares again.
+
+    Each square case reads one leg's strictness and builds no square.
+    """
     C = FinPointedSet(max_size=3)
-    built = {"pullback": [], "pushout": []}
-    for kind in built:
+    kinds = ("pullback_leg_strictness", "pushout_leg_strictness", "pullback", "pushout")
+    calls = {kind: [] for kind in kinds}
+    for kind in calls:
         original = getattr(FinPointedSet, kind)
 
         def record(self, f, g, original=original, kind=kind):
-            built[kind].append((f, g))
+            calls[kind].append((f, g))
             return original(self, f, g)
 
         monkeypatch.setattr(FinPointedSet, kind, record)
     report = audit_axioms(C, total=True)
     assert report.entry("epi_pullback_along_mono").verdict == "pass"
     assert report.entry("mono_pushout_along_epi").verdict == "pass"
-    for kind, squares in built.items():
+    for kind in ("pullback_leg_strictness", "pushout_leg_strictness"):
+        squares = calls[kind]
         assert squares and len(set(squares)) == len(squares), kind
+    assert calls["pullback"] == [] and calls["pushout"] == []
