@@ -302,8 +302,43 @@ class _MapAnalysis:
             return False
         kb = self.kernel_basis
         rows = [[row[d] for d in kb.complement] for row in self.f.matrix]
-        inv_rows = [[col[c] for col in self.min_preimages] for c in kb.complement]
-        return _isometric_iso(kb.quotient_space(), self.f.codomain, rows, inv_rows)
+        return _isometric_iso(kb.quotient_space(), self.f.codomain, rows, self.lift)
+
+    @cached_property
+    def lift(self) -> list:
+        """Rows of the inverse of the induced map domain/kernel -> codomain (f onto):
+        each codomain basis vector to its norm-minimal preimage, read on the
+        quotient's coordinates."""
+        return [[col[c] for col in self.min_preimages] for c in self.kernel_basis.complement]
+
+    def pullback_leg_flags(self, g: BoundedMap) -> tuple[bool, bool]:
+        """(strict mono, strict epi) of the leg p2 of the pullback of f (onto) along g.
+
+        p2 is onto, and its quotient norm of w is ``max(|w|, |g w|_f)``,
+        where ``|z|_f`` is the least norm of a preimage of z under f, the
+        quotient norm of ``lift(z)``.  So p2 is a strict epi iff ``lift o g``
+        has norm <= 1.  The kernel of p2 is that of f; when it is zero, p2
+        is an isometry iff ``lift o g`` has norm <= 1 again.
+        """
+        if g.codomain != self.f.codomain:
+            raise NotComposable("pullback needs a common codomain")
+        rows = linalg.mat_mul(self.F, self.lift, g.matrix, g.domain.dim)
+        c = contracts(g.domain, self.kernel_basis.quotient_space(), rows)
+        return self.mono and c, c
+
+    def pushout_leg_flags(self, g: BoundedMap) -> tuple[bool, bool]:
+        """(strict mono, strict epi) of the leg j2 of the pushout of f (injective) along g.
+
+        j2 is injective, and an isometry iff ``|g k| <= |f k|`` for every k:
+        iff g, read on the image of f through the inverse coordinate change,
+        has norm <= 1.  j2 is onto iff f is, and a bijective isometry is a
+        strict epi.
+        """
+        if g.domain != self.f.domain:
+            raise NotComposable("pushout needs a common domain")
+        rows = linalg.mat_mul(self.F, g.matrix, self.change_inverse, self.f.domain.dim)
+        c = contracts(self.image_basis.presented_space(), g.codomain, rows)
+        return c, self.epi and c
 
     def retraction(self) -> Optional[BoundedMap]:
         if not self.mono:
@@ -341,7 +376,8 @@ def _isometric_iso(X: WeightedSpace, Y: WeightedSpace, rows, inv_rows) -> bool:
     return contracts(X, Y, rows) and contracts(Y, X, inv_rows)
 
 
-def _nonexpanding_analysis(f: BoundedMap) -> _MapAnalysis:
+def map_analysis(f: BoundedMap) -> _MapAnalysis:
+    """The analysis that every classification flag of f reads (f non-expanding)."""
     if operator_norm(f) > MAG_ONE:
         raise NotNonExpanding("classification applies to maps of operator norm <= 1")
     return _MapAnalysis(f)
@@ -373,7 +409,7 @@ def strict_flags(f: BoundedMap) -> tuple[int, bool, bool]:
     isometric isomorphism.  Strict mono: injective and an isometry onto the
     image.
     """
-    a = _nonexpanding_analysis(f)
+    a = map_analysis(f)
     return a.rank, a.strict_mono, a.strict_epi
 
 
@@ -385,7 +421,7 @@ def classify_morphism(f: BoundedMap) -> MorphismClassification:
     quotient comparison is f itself and the strict-epi test is the
     isomorphism test.
     """
-    a = _nonexpanding_analysis(f)
+    a = map_analysis(f)
     return MorphismClassification(
         mono=a.mono,
         epi=a.epi,

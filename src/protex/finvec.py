@@ -1,7 +1,10 @@
 """Weighted modules as a category instance, plus the bounded enumerable one.
 
 ``WeightedModuleCategory`` adapts the exact linear algebra to the abstract
-contract (kernels, cokernels, solvers, squares).  ``FinWeightedVec``
+contract (kernels, cokernels, solvers, squares).  The square audits read
+one leg per square without building it: the pullback p2 of an epi f off
+the quotient norm of f, the pushout j2 of a mono i off the image norm of
+i; only a non-epi f or a non-mono i gets its square built.  ``FinWeightedVec``
 restricts to a finite universe over a prime field with a fixed weight set
 and dimension bound, where every hom-set is finite: morphism enumeration
 frees each column entry only where the codomain weight is at most the
@@ -91,6 +94,22 @@ class WeightedModuleCategory(CategoryInstance):
 
     def pushout(self, i, g):
         return con.pushout(i, g)
+
+    def pullback_leg_strictness(self, f, g) -> Strictness:
+        """Read off f's quotient norm when f is onto; otherwise build the square."""
+        if not self.is_epi(f):
+            return super().pullback_leg_strictness(f, g)
+        return Strictness(*self._analysis(f).pullback_leg_flags(g))
+
+    def pushout_leg_strictness(self, i, g) -> Strictness:
+        """Read off i's image norm when i is injective; otherwise build the square."""
+        if not self.is_mono(i):
+            return super().pushout_leg_strictness(i, g)
+        return Strictness(*self._analysis(i).pushout_leg_flags(g))
+
+    def _analysis(self, f: BoundedMap) -> con._MapAnalysis:
+        # kept only for the first maps of the squares read; the strictness memo keeps flags alone
+        return self._memoized("analysis", f, con.map_analysis)
 
     def solve_rlp(self, f, g):
         # strict monos split here, so the retraction fills every square over 0

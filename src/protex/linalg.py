@@ -11,6 +11,8 @@ rationals.  Zero-row and zero-column matrices are legal throughout.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .scalars import ValuedField
 
 
@@ -26,6 +28,19 @@ def mat_vec(F: ValuedField, a, v):
             acc = F.add(acc, F.mul(x, y))
         out.append(acc)
     return out
+
+
+def mat_mul(F: ValuedField, a, b, ncols: int):
+    """The rows of the product ``a b``, for b with ``ncols`` columns.
+
+    The product is taken in the field's integer-row form: the rows of a
+    and the columns of b each over one common denominator, so the product
+    is over ``da * db``.  A b with no rows has ``ncols`` empty columns.
+    """
+    arows, da = F.to_ints(a)
+    bcols, db = F.to_ints(list(zip(*b)) or [()] * ncols)
+    den = da * db
+    return [F.from_ints([sum(map(mul, r, c)) for c in bcols], den) for r in arows]
 
 
 def rref(F: ValuedField, a):

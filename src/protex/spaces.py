@@ -8,7 +8,6 @@ semi-normed null direction.  Every construction below is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Optional
 
 from . import linalg
@@ -158,20 +157,10 @@ def zero_map(domain: WeightedSpace, codomain: WeightedSpace) -> BoundedMap:
 
 
 def compose(g: BoundedMap, f: BoundedMap) -> BoundedMap:
-    """g after f; shapes are taken from the spaces so empty matrices are safe.
-
-    The product is taken in the field's integer-row form: the rows of g and
-    the columns of f each over one common denominator, so the product is
-    over ``dg * df``.
-    """
+    """g after f; shapes are taken from the spaces so empty matrices are safe."""
     if f.codomain != g.domain:
         raise NotComposable("codomain of the first map must equal domain of the second")
-    F = f.domain.field
-    grows, dg = F.to_ints(g.matrix)
-    # the columns of f; a map into the zero space has n empty columns
-    fcols, df = F.to_ints(list(zip(*f.matrix)) or [()] * f.domain.dim)
-    den = dg * df
-    prod = [F.from_ints([sum(map(mul, r, c)) for c in fcols], den) for r in grows]
+    prod = linalg.mat_mul(f.domain.field, g.matrix, f.matrix, f.domain.dim)
     return bounded_map(f.domain, g.codomain, prod, check=False)
 
 
