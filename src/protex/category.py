@@ -150,7 +150,10 @@ class CategoryInstance(ABC):
         The tables live as long as the instance.  They are not fields, so
         they take no part in ``==``, hash or repr.  ``compute`` must be pure.
         """
-        memo = self.__dict__.setdefault("_memo_tables", {}).setdefault(table, {})
+        try:
+            memo = self.__dict__["_memo_tables"][table]
+        except KeyError:  # the first lookup in this table makes it
+            memo = self.__dict__.setdefault("_memo_tables", {}).setdefault(table, {})
         try:
             return memo[key]
         except KeyError:
@@ -232,28 +235,56 @@ class RlpResult:
 class LiftingSearch:
     """Commuting squares from a generator g: A -> B to r: W -> Y, indexed once.
 
-    Hom(B, Y) is bucketed by v o g, so the squares over a top leg u are one
-    lookup of r o u; they come out u-outer, v-inner in hom enumeration
-    order.  A square lifts iff it is among the fillers
-    {(d o g, r o d) : d in Hom(B, W)}, built once on first need.
+    Hom(B, Y) is bucketed by v o g, once per (g, Y) per instance (memo
+    table ``bottoms``), so the squares over a top leg u are one lookup of
+    r o u; they come out u-outer, v-inner in hom enumeration order.  A
+    square lifts iff it is among the fillers {(d o g, r o d) : d in Hom(B, W)},
+    built once on first need.
+
+    ``composites`` maps an object Z to [r o x for x in Hom(Z, W)] in hom
+    order.  Searches against the same r may share one dict, so each such
+    composite is computed once for the tops and fillers of every generator
+    with an end Z; the caller drops it when r changes.  Sharing saves
+    compositions only: every square is still listed, and each hom-set is
+    still listed where an unshared search lists it.
     """
 
-    def __init__(self, C: CategoryInstance, g: Mor, r: Mor):
+    def __init__(self, C: CategoryInstance, g: Mor, r: Mor, composites: Optional[dict] = None):
         self.C, self.g, self.r = C, g, r
-        tops = C.morphisms(C.dom(g), C.dom(r))
-        bottoms: dict = {}
-        for v in C.morphisms(C.cod(g), C.cod(r)):
-            bottoms.setdefault(C.compose(v, g), []).append(v)
-        self.squares = [(u, v) for u in tops for v in bottoms.get(C.compose(r, u), ())]
+        self._composites = {} if composites is None else composites
+        A = C.dom(g)
+        tops = C.morphisms(A, C.dom(r))
+        bottoms = C._memoized(
+            "bottoms", (g, C.cod(r)), lambda ends: _bucket_by_precomposite(C, *ends)
+        )
+        self.squares = [
+            (u, v) for u, ru in zip(tops, self._after_r(A, tops)) for v in bottoms.get(ru, ())
+        ]
         self._fillers: Optional[set] = None
 
+    def _after_r(self, Z: Obj, homs: tuple) -> list:
+        """[r o x for x in homs], where homs is Hom(Z, W), computed once per shared dict."""
+        out = self._composites.get(Z)
+        if out is None:
+            C, r = self.C, self.r
+            out = self._composites[Z] = [C.compose(r, x) for x in homs]
+        return out
+
     def lifts(self, u: Mor, v: Mor) -> bool:
-        C, g, r = self.C, self.g, self.r
         if self._fillers is None:
-            self._fillers = {
-                (C.compose(d, g), C.compose(r, d)) for d in C.morphisms(C.cod(g), C.dom(r))
-            }
+            C, g = self.C, self.g
+            B = C.cod(g)
+            ds = C.morphisms(B, C.dom(self.r))
+            self._fillers = set(zip([C.compose(d, g) for d in ds], self._after_r(B, ds)))
         return (u, v) in self._fillers
+
+
+def _bucket_by_precomposite(C: CategoryInstance, g: Mor, Y: Obj) -> dict:
+    """Hom(cod g, Y) grouped by v o g, each group in hom enumeration order."""
+    bottoms: dict = {}
+    for v in C.morphisms(C.cod(g), Y):
+        bottoms.setdefault(C.compose(v, g), []).append(v)
+    return bottoms
 
 
 def has_rlp(
@@ -275,12 +306,13 @@ def has_rlp(
 
 
 def _rlp_cases(C, f: Mor, against: Iterable[Mor]):
+    composites: dict = {}  # shared by the searches of this run: f stays fixed
     for g in against:
         decided, ok = C.solve_rlp(f, g)
         if decided:
             yield 1, None if ok else {"generator": C.describe_morphism(g)}
             continue
-        search = LiftingSearch(C, g, f)
+        search = LiftingSearch(C, g, f, composites)
         for u, v in search.squares:
             yield 1, None  # charged before lifts enumerates the fillers
             if not search.lifts(u, v):

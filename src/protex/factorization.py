@@ -88,8 +88,9 @@ def _first_problem(C: CategoryInstance, r: Mor, G: GeneratingSet, budget: Budget
     square, because the generator index leads the problem order.
     """
     first = None
+    composites: dict = {}  # this round's r o x, shared by every generator's search
     for a, g in enumerate(G.generators):
-        search = LiftingSearch(C, g, r)
+        search = LiftingSearch(C, g, r, composites)
         budget.tick(len(search.squares))
         if first is not None:
             continue

@@ -878,9 +878,8 @@ def _pointed_maps(draw):
 
 
 @st.composite
-def _pointed_certificates(draw):
-    """Certificate fields drawn independently, with up to one of them dropped."""
-    leg = _pointed_maps()
+def _certificates(draw, leg):
+    """Certificate fields drawn independently, each map from ``leg``, with up to one field dropped."""
     step = st.fixed_dictionaries(
         {"generator_index": _COUNTS, "attach": leg, "cell": leg, "step_mono": leg}
     )
@@ -897,19 +896,9 @@ def _pointed_certificates(draw):
     return cert
 
 
-@settings(
-    max_examples=100,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-)
-@given(
-    generators=st.none() | _weighted((4, st.lists(_pointed_maps(), max_size=2)), (1, _JUNK)),
-    f=_pointed_maps(),
-    cert=_weighted((4, _pointed_certificates()), (1, _JUNK)),
-    command=st.sampled_from(["factor", "verify-cert"]),
-)
-def test_malformed_pointed_inputs_keep_the_exit_contract(tmp_path, capsys, generators, f, cert, command):
-    argv = [command, "--instance", write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})]
+def _factor_or_verify_keeps_the_exit_contract(tmp_path, capsys, instance, generators, f, cert, command):
+    """``factor --mode map`` on f, or ``verify-cert`` on cert, exits 0, 2 or 3."""
+    argv = [command, "--instance", write(tmp_path, "inst.json", instance)]
     if generators is not None:
         argv += ["--generators", write(tmp_path, "gens.json", generators)]
     if command == "factor":
@@ -919,6 +908,59 @@ def test_malformed_pointed_inputs_keep_the_exit_contract(tmp_path, capsys, gener
     code, _, _ = run_main(argv, capsys)
     event(f"{command} exit {code}")
     assert code in (0, 2, 3)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    generators=st.none() | _weighted((4, st.lists(_pointed_maps(), max_size=2)), (1, _JUNK)),
+    f=_pointed_maps(),
+    cert=_weighted((4, _certificates(_pointed_maps())), (1, _JUNK)),
+    command=st.sampled_from(["factor", "verify-cert"]),
+)
+def test_malformed_pointed_inputs_keep_the_exit_contract(tmp_path, capsys, generators, f, cert, command):
+    instance = {"kind": "pointed", "max_size": 2}
+    _factor_or_verify_keeps_the_exit_contract(tmp_path, capsys, instance, generators, f, cert, command)
+
+
+_VEC_WEIGHTS = _weighted((6, st.sampled_from(["g^0", "g^1"])), (1, _MAGNITUDES))
+_VEC_ENTRIES = _weighted((6, st.sampled_from(["0", "0", "1"])), (1, st.sampled_from(["2", "1/2"]) | _JUNK))
+
+
+@st.composite
+def _vec_maps(draw):
+    """An F2 map between spaces of at most two weights, with up to one field dropped or replaced."""
+    dom, cod = draw(st.lists(_VEC_WEIGHTS, max_size=2)), draw(st.lists(_VEC_WEIGHTS, max_size=2))
+    field = {"trivial": "F2"}
+    data = {
+        "domain": {"field": field, "weights": dom},
+        "codomain": {"field": field, "weights": cod},
+        "matrix": [[draw(_VEC_ENTRIES) for _ in dom] for _ in cod],
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=1)):
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(_JUNK | st.lists(st.lists(_VEC_ENTRIES, max_size=2), max_size=2))
+    return data
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    generators=st.none() | _weighted((4, st.lists(_vec_maps(), max_size=2)), (1, _JUNK)),
+    f=_vec_maps(),
+    cert=_weighted((4, _certificates(_vec_maps())), (1, _JUNK)),
+    command=st.sampled_from(["factor", "verify-cert"]),
+)
+def test_malformed_finvec_inputs_keep_the_exit_contract(tmp_path, capsys, generators, f, cert, command):
+    _factor_or_verify_keeps_the_exit_contract(tmp_path, capsys, FINVEC_INSTANCE, generators, f, cert, command)
 
 
 class TestDeterminism:

@@ -95,6 +95,8 @@ class TestEnumeration:
                 first.morphisms(X, Y)
         fresh = FinWeightedVec(F2, (E0, E1), max_dim=2)
         assert vars(fresh).get("_memo_tables", {}) == {}
+        # the memo tables are no fields
+        assert first == fresh and hash(first) == hash(fresh) and repr(first) == repr(fresh)
         X = WeightedSpace(F2, (E1, E0))
         homs = fresh.morphisms(X, X)
         assert homs == first.morphisms(X, X) and homs is not first.morphisms(X, X)

@@ -8,6 +8,7 @@ budget at which ``BudgetExceeded`` fires.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from protex import FinPointedSet, FinWeightedVec, GeneratingSet, has_rlp
 from protex.category import Budget, RlpResult, admissible_monos
 from protex.errors import BudgetExceeded
 from protex.scalars import MAG_ONE, Magnitude, PrimeField
+from protex.spaces import WeightedSpace
 
 
 def reference_lift(C, g, u, r, v):
@@ -152,3 +154,65 @@ def test_has_rlp_matches_reference(universe):
             has_rlp(C, f, G.generators, budget=n - 1)
         assert has_rlp(C, f, G.generators, budget=n) == result
     assert failures > 0  # the witnesses were compared, not just the passes
+
+
+def test_shared_composites_match_reference_on_reordered_generators(universe, monkeypatch):
+    """The generators reversed, with one listed twice: every generator end and one
+    v o g bucket are then read by more than one search of a round."""
+    C, G = universe
+    gens = G.generators[::-1]
+    H = GeneratingSet.of(C, "reversed, one twice", (*gens, gens[len(gens) // 2]))
+    for f in maps_to_factor(C):
+        used_ref, used = Budget(None, "lifting"), Budget(None, "lifting")
+        assert fz._first_problem(C, f, H, used) == reference_first_problem(C, f, H, used_ref)
+        assert used.used == used_ref.used
+        cert = fz.factor_map(C, f, H)
+        if cert.steps:
+            with monkeypatch.context() as m:
+                m.setattr(fz, "_first_problem", reference_first_problem)
+                assert fz.factor_map(C, f, H) == cert
+        with pytest.raises(BudgetExceeded):
+            fz.factor_map(C, f, H, budget=cert.problems_checked - 1)
+    for f in rlp_targets(C):
+        assert has_rlp(C, f, H.generators) == reference_has_rlp(C, f, H.generators)
+
+
+def test_no_composite_is_computed_twice(monkeypatch):
+    """A precover composes each r o x once per round and each v o g once per instance.
+
+    A round is one ``_first_problem`` call, with its right leg r: W -> Y;
+    the precover of X keeps Y = X, so v o g is a pair (v, g) with cod v = X.
+    """
+    C = FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2)
+    G = GeneratingSet.of(C, "all-admissible-monos", admissible_monos(C))
+    X = WeightedSpace(C.field, (MAG_ONE, MAG_ONE))
+    rounds, current = [], []
+    first_problem, compose = fz._first_problem, FinWeightedVec.compose
+
+    def round_of(C, r, G, budget):
+        rounds.append((r, []))
+        current.append(rounds[-1][1])
+        try:
+            return first_problem(C, r, G, budget)
+        finally:
+            current.pop()
+
+    def record(self, a, b):
+        if current:
+            current[-1].append((a, b))
+        return compose(self, a, b)
+
+    monkeypatch.setattr(fz, "_first_problem", round_of)
+    monkeypatch.setattr(FinWeightedVec, "compose", record)
+    assert len(fz.precover(C, X, G).certificate.steps) == 4
+    assert len(rounds) == 5
+    gens = set(G.generators)
+    for r, calls in rounds:
+        assert C.cod(r) == X and C.dom(r) != X
+        after_r = Counter(x for a, x in calls if a == r)
+        # where W = cod g, r o g is also the bottom v o g with v = r: once more, once per instance
+        assert after_r and all(n == 1 or (n == 2 and x in gens) for x, n in after_r.items())
+    bottoms = [
+        (a, b) for r, calls in rounds for a, b in calls if b in gens and C.cod(a) == X and a != r
+    ]
+    assert bottoms and len(set(bottoms)) == len(bottoms)
