@@ -402,17 +402,6 @@ def section(f: BoundedMap) -> Optional[BoundedMap]:
     return _MapAnalysis(f).section()
 
 
-def strict_flags(f: BoundedMap) -> tuple[int, bool, bool]:
-    """Rank of f, and whether f is a strict mono and whether a strict epi.
-
-    Strict epi: surjective with the induced map domain/kernel -> codomain an
-    isometric isomorphism.  Strict mono: injective and an isometry onto the
-    image.
-    """
-    a = map_analysis(f)
-    return a.rank, a.strict_mono, a.strict_epi
-
-
 def classify_morphism(f: BoundedMap) -> MorphismClassification:
     """Classification in the non-expanding category; exact in every entry.
 

@@ -181,8 +181,12 @@ def precover(
     cover = cert.right
     A = C.dom(cover)
     surjective = True
+    checked = set()  # generators often share a cokernel object; each is checked once
     for g in G.generators:
         cok, _ = C.cokernel(g)
+        if cok in checked:
+            continue
+        checked.add(cok)
         homs = C.morphisms(cok, X)
         if not {C.compose(cover, h) for h in C.morphisms(cok, A)}.issuperset(homs):
             surjective = False

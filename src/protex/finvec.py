@@ -1,16 +1,20 @@
 """Weighted modules as a category instance, plus the bounded enumerable one.
 
-``WeightedModuleCategory`` adapts the exact linear algebra to the abstract
-contract (kernels, cokernels, solvers, squares).  The square audits read
-one leg per square without building it: the pullback p2 of an epi f off
-the quotient norm of f, the pushout j2 of a mono i off the image norm of
-i; only a non-epi f or a non-mono i gets its square built.  ``FinWeightedVec``
-restricts to a finite universe over a prime field with a fixed weight set
-and dimension bound, where every hom-set is finite: morphism enumeration
-frees each column entry only where the codomain weight is at most the
-domain weight, so the non-expanding and null-direction constraints are
-enforced by construction.  It also carries the brute-force quotient-norm
-oracle used against the algorithmic one.
+``WeightedModuleCategory`` adapts the exact linear algebra to the
+abstract contract (kernels, cokernels, solvers, squares).  Each distinct
+map is analysed once per instance: mono, epi, both strict flags, the leg
+read-offs and the lift solver's retraction read that one analysis; only
+``is_iso``, the generic classifier's test, stays apart from it.  The
+square audits read one leg per square without building it: the pullback
+p2 of an epi f off the quotient norm of f, the pushout j2 of a mono i
+off the image norm of i; only a non-epi f or a non-mono i gets its
+square built.  ``FinWeightedVec`` restricts to a finite universe over a
+prime field with a fixed weight set and dimension bound, where every
+hom-set is finite: morphism enumeration frees each column entry only
+where the codomain weight is at most the domain weight, so the
+non-expanding and null-direction constraints are enforced by
+construction.  It also carries the brute-force quotient-norm oracle used
+against the algorithmic one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import constructions as con
-from .category import CategoryInstance, Strictness
+from .category import _STRICTNESS, CategoryInstance, Strictness
 from .errors import ENUMERATION_CAP, BudgetExceeded, InvariantViolation
 from .scalars import Magnitude, PrimeField, ValuedField, format_magnitude
 from .spaces import (
@@ -77,17 +81,17 @@ class WeightedModuleCategory(CategoryInstance):
         return con.is_iso_nonexpanding(f)
 
     def is_mono(self, f: BoundedMap) -> bool:
-        return self._classified(f)[0] == f.domain.dim
+        return self._analysis(f).mono
 
     def is_epi(self, f: BoundedMap) -> bool:
-        return self._classified(f)[0] == f.codomain.dim
+        return self._analysis(f).epi
 
     def strictness(self, f: BoundedMap) -> Strictness:
-        return self._classified(f)[1]
+        a = self._analysis(f)
+        return _STRICTNESS[a.strict_mono][a.strict_epi]
 
-    def _classified(self, f: BoundedMap) -> tuple[int, Strictness]:
-        # the rank comes with the strict flags, so is_mono/is_epi cost no elimination
-        return self._memoized("strictness", f, _rank_and_strictness)
+    def _analysis(self, f: BoundedMap) -> con._MapAnalysis:
+        return self._memoized("analysis", f, con.map_analysis)
 
     def pullback(self, f, g):
         return con.pullback(f, g)
@@ -107,14 +111,10 @@ class WeightedModuleCategory(CategoryInstance):
             return super().pushout_leg_strictness(i, g)
         return Strictness(*self._analysis(i).pushout_leg_flags(g))
 
-    def _analysis(self, f: BoundedMap) -> con._MapAnalysis:
-        # kept only for the first maps of the squares read; the strictness memo keeps flags alone
-        return self._memoized("analysis", f, con.map_analysis)
-
     def solve_rlp(self, f, g):
         # strict monos split here, so the retraction fills every square over 0
         if f.codomain.dim == 0 and self.strictness(g).strict_mono:
-            return True, con.retraction(g) is not None
+            return True, self._analysis(g).retraction() is not None
         return False, False
 
     def describe_object(self, X: WeightedSpace) -> dict:
@@ -127,11 +127,6 @@ class WeightedModuleCategory(CategoryInstance):
             "codomain": self.describe_object(f.codomain),
             "matrix": [[F.format_element(x) for x in row] for row in f.matrix],
         }
-
-
-def _rank_and_strictness(f: BoundedMap) -> tuple[int, Strictness]:
-    rank, strict_mono, strict_epi = con.strict_flags(f)
-    return rank, Strictness(strict_mono, strict_epi)
 
 
 @dataclass(frozen=True)

@@ -70,22 +70,6 @@ def _image_strictness(images: tuple[int, ...], cod_size: int) -> Strictness:
     )
 
 
-def is_strict_mono_map(f: PointedMap) -> bool:
-    return _image_strictness(f.images, f.cod.size).strict_mono
-
-
-def is_strict_epi_map(f: PointedMap) -> bool:
-    return _image_strictness(f.images, f.cod.size).strict_epi
-
-
-def is_epi_map(f: PointedMap) -> bool:
-    return set(f.images) == set(f.cod.elements)
-
-
-def _strictness(f: PointedMap) -> Strictness:
-    return _image_strictness(f.images, f.cod.size)
-
-
 def _hom_set(ends: tuple[PointedSet, PointedSet]) -> tuple[PointedMap, ...]:
     X, Y = ends
     count = (Y.size + 1) ** X.size
@@ -260,16 +244,16 @@ class FinPointedSet(CategoryInstance):
         return PointedMap(q_proj.cod, f.cod, tuple(images))
 
     def is_iso(self, f: PointedMap) -> bool:
-        return f.dom.size == f.cod.size and is_strict_mono_map(f)
+        return f.dom.size == f.cod.size and self.is_mono(f)
 
     def is_mono(self, f: PointedMap) -> bool:
-        return is_strict_mono_map(f)  # injective; every mono here is strict
+        return self.strictness(f).strict_mono  # injective; every mono here is strict
 
     def is_epi(self, f: PointedMap) -> bool:
-        return is_epi_map(f)
+        return set(f.images) == set(f.cod.elements)
 
     def strictness(self, f: PointedMap) -> Strictness:
-        return self._memoized("strictness", f, _strictness)
+        return self._memoized("strictness", f, lambda f: _image_strictness(f.images, f.cod.size))
 
     def objects(self) -> list[PointedSet]:
         if self.max_size + 1 > ENUMERATION_CAP:
@@ -346,10 +330,9 @@ def counterexample_suite() -> AuditReport:
     square = C.pullback(f, g)
     proj = square.p2
     expected = (
-        is_strict_epi_map(f)
-        and is_strict_epi_map(g)
-        and is_epi_map(proj)
-        and not is_strict_epi_map(proj)
+        C.strictness(f).strict_epi
+        and C.strictness(g).strict_epi
+        and C.is_epi(proj)
         and not C.strictness(proj).strict_epi
     )
     entries.append(
@@ -366,8 +349,7 @@ def counterexample_suite() -> AuditReport:
     composite = C.compose(collapse, incl)
     expected = (
         composite == C.identity(incl.dom)
-        and is_strict_epi_map(composite)
-        and not is_strict_epi_map(collapse)
+        and C.strictness(composite).strict_epi
         and not C.strictness(collapse).strict_epi
     )
     entries.append(

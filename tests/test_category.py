@@ -107,18 +107,21 @@ class TestClassifyStrictness:
 
 
 class TestStrictnessMemo:
-    def test_strict_flags_run_once_per_distinct_map(self, monkeypatch):
+    def test_each_map_is_analysed_once_per_instance(self, monkeypatch):
+        # the audits, the leg read-offs and the lift solver share one analysis per map
         runs = Counter()
-        strict_flags = con.strict_flags
+        init = con._MapAnalysis.__init__
 
-        def counted(f):
+        def counted(self, f):
             runs[f] += 1
-            return strict_flags(f)
+            init(self, f)
 
-        monkeypatch.setattr(con, "strict_flags", counted)
+        monkeypatch.setattr(con._MapAnalysis, "__init__", counted)
         C = FinWeightedVec(F2, (E0, E1), max_dim=2)
         assert audit_axioms(C, total=True).passed
         assert audit_obscure(C).passed
+        for X in C.objects():
+            is_injective_object(C, X)
         assert runs and max(runs.values()) == 1
 
     def test_is_mono_and_is_epi_read_the_memoized_rank(self, monkeypatch):
@@ -399,12 +402,10 @@ class TestSplitImpliesAdmissibleWhereStrongObscureHolds:
 
     def test_every_pointed_epi_is_split(self):
         C = FinPointedSet(3)
-        from protex.pointed_sets import is_epi_map
-
         for X in C.objects():
             for Y in C.objects():
                 for f in C.morphisms(X, Y):
-                    if is_epi_map(f):
+                    if C.is_epi(f):
                         assert any(
                             C.compose(f, s) == C.identity(Y)
                             for s in C.morphisms(Y, X)

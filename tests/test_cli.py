@@ -963,6 +963,114 @@ def test_malformed_finvec_inputs_keep_the_exit_contract(tmp_path, capsys, genera
     _factor_or_verify_keeps_the_exit_contract(tmp_path, capsys, FINVEC_INSTANCE, generators, f, cert, command)
 
 
+_FIELDS = _weighted(
+    (6, st.sampled_from([{"padic": 2}, {"padic": 3}, {"trivial": "F2"}, {"trivial": "Q"}])),
+    (1, _JUNK),
+)
+_WEIGHTS = _weighted((6, st.sampled_from(["g^0", "g^1", "g^-1", "g^1/2", "0"])), (1, _MAGNITUDES))
+_ENTRIES = _weighted(
+    (6, st.sampled_from(["0", "1", "-1", "2", "1/2", "3/4"])),
+    (1, st.sampled_from(["1/0", "x", ""]) | _JUNK),
+)
+
+
+def _mangled(draw, data: dict) -> dict:
+    """data with up to one field dropped or replaced by junk."""
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=1)):
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(_JUNK | st.lists(st.lists(_ENTRIES, max_size=3), max_size=3))
+    return data
+
+
+@st.composite
+def _compute_inputs(draw):
+    """Spaces of dimension <= 3 over one drawn field, and maps among them.
+
+    The maps share the few drawn spaces, so squares and chains often
+    compose and get computed rather than refused.
+    """
+    field = draw(_FIELDS)
+    spaces = [
+        {"field": field, "weights": draw(st.lists(_WEIGHTS, max_size=3))}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    pick = st.sampled_from(spaces)
+
+    def a_map():
+        dom, cod = draw(pick), draw(pick)
+        rows = [[draw(_ENTRIES) for _ in dom["weights"]] for _ in cod["weights"]]
+        return _mangled(draw, {"domain": dom, "codomain": cod, "matrix": rows})
+
+    space = draw(pick)
+    vector = st.lists(_ENTRIES, min_size=len(space["weights"]), max_size=len(space["weights"]))
+    return {
+        "map": a_map(),
+        "map2": a_map(),
+        "space": _mangled(draw, dict(space)),
+        "sub": draw(st.lists(vector, max_size=3) | _JUNK),
+        "vector": draw(vector | _JUNK),
+        "chain": [a_map() for _ in range(draw(st.integers(0, 3)))] if draw(st.booleans()) else draw(_JUNK),
+    }
+
+
+def _run_keeps_the_exit_contract(tmp_path, capsys, argv, files, dropped):
+    """Write the input files (one may be left out or hold raw bytes) and run argv on them."""
+    for name, data in files.items():
+        if name == dropped:
+            continue
+        path = tmp_path / f"{name}.json"
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(json.dumps(data))
+        argv += [f"--{name}", str(path)]
+    code, _, _ = run_main(argv, capsys)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3)
+
+
+_COMPUTE_FILES = {
+    "kernel": ("map",),
+    "cokernel": ("map",),
+    "pullback": ("map", "map2"),
+    "pushout": ("map", "map2"),
+    "quotient-norm": ("space", "sub", "vector"),
+    "orthogonalize": ("space", "sub"),
+    "colimit": ("chain",),
+}
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    operation=st.sampled_from(sorted(_COMPUTE_FILES)),
+    inputs=_compute_inputs(),
+    raw=_weighted((8, st.none()), (1, st.binary(max_size=12))),
+    dropped=_weighted((8, st.none()), (1, st.sampled_from(["map", "map2", "space", "sub", "vector", "chain"]))),
+)
+def test_malformed_compute_inputs_keep_the_exit_contract(tmp_path, capsys, operation, inputs, raw, dropped):
+    files = {name: inputs[name] for name in _COMPUTE_FILES[operation]}
+    if raw is not None:
+        files[sorted(files)[0]] = raw
+    _run_keeps_the_exit_contract(tmp_path, capsys, ["compute", operation], files, dropped)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(inputs=_compute_inputs(), raw=_weighted((8, st.none()), (1, st.binary(max_size=12))))
+def test_malformed_classify_inputs_keep_the_exit_contract(tmp_path, capsys, inputs, raw):
+    files = {"map": inputs["map"] if raw is None else raw}
+    _run_keeps_the_exit_contract(tmp_path, capsys, ["classify"], files, None)
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})

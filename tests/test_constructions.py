@@ -16,6 +16,7 @@ from protex import (
     bounded_map,
     chain_colimit,
     classify_morphism,
+    classify_strictness,
     cokernel,
     compose,
     coproduct_product_comparison,
@@ -35,9 +36,9 @@ from protex import (
     zero_map,
 )
 from protex import linalg
-from protex.constructions import is_iso_nonexpanding, retraction, section, strict_flags
+from protex.constructions import is_iso_nonexpanding, retraction, section
 from protex.errors import NotComposable, NotNonExpanding, NotSpanning
-from protex.finvec import FinWeightedVec
+from protex.finvec import FinWeightedVec, WeightedModuleCategory
 from proptools import (
     random_isometric_auto,
     random_nonexpanding_map,
@@ -229,8 +230,9 @@ class TestSharedAnalysis:
         seen = set()
         for f in maps():
             record = classify_morphism(f)
-            rank, strict_mono, strict_epi = strict_flags(f)
-            assert (record.strict_mono, record.strict_epi) == (strict_mono, strict_epi)
+            generic = classify_strictness(WeightedModuleCategory(f.domain.field), f)
+            assert (record.strict_mono, record.strict_epi) == (generic.strict_mono, generic.strict_epi)
+            rank = linalg.rank(f.domain.field, f.rows())
             assert record.mono == (rank == f.domain.dim)
             assert record.epi == (rank == f.codomain.dim)
             assert record.split_mono == (retraction(f) is not None)

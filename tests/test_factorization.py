@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from protex import factorization
 from protex import (
     MAG_ONE,
     Magnitude,
@@ -136,6 +139,33 @@ class TestPrecover:
         assert res.certificate.rlp_verified
         # the cover is onto in particular
         assert classify_morphism(res.cover).epi
+
+    def test_hom_surjectivity_composes_each_pair_once(self, monkeypatch):
+        # the precover-sweep instance: its 31 generators have 6 distinct cokernels
+        C = finvec_instance()
+        G = all_mono_generators(C)
+        factored = []
+        pairs = Counter()
+        factor, compose = factorization.factor_map, FinWeightedVec.compose
+
+        def factor_then_count(*args):
+            factored.append(factor(*args))
+            return factored[-1]
+
+        def counted(self, g, f):
+            if factored:  # the hom-surjectivity check, after the factorization
+                pairs[g, f] += 1
+            return compose(self, g, f)
+
+        monkeypatch.setattr(factorization, "factor_map", factor_then_count)
+        monkeypatch.setattr(FinWeightedVec, "compose", counted)
+        for X in C.objects():
+            factored.clear()
+            res = precover(C, X, G, fuel=100)
+            assert res.hom_surjective
+            assert all(g == res.cover for g, _ in pairs)
+            assert max(pairs.values(), default=1) == 1
+            pairs.clear()
 
 
 class TestPointedSetFactorization:

@@ -4,13 +4,7 @@ import pytest
 
 from protex import FinPointedSet, classify_strictness, counterexample_suite
 from protex.errors import InvariantViolation, NotComposable
-from protex.pointed_sets import (
-    PointedMap,
-    PointedSet,
-    is_epi_map,
-    is_strict_epi_map,
-    is_strict_mono_map,
-)
+from protex.pointed_sets import PointedMap, PointedSet
 
 C = FinPointedSet(max_size=4)
 
@@ -194,23 +188,21 @@ class TestStrictness:
     def test_closed_forms(self):
         X, Y = PointedSet(2), PointedSet(1)
         collapse = PointedMap(X, Y, (0, 1, 1))
-        assert is_epi_map(collapse)
-        assert not is_strict_epi_map(collapse)
+        assert C.is_epi(collapse)
+        assert not C.strictness(collapse).strict_epi
         to_zero = PointedMap(X, Y, (0, 0, 0))
-        assert not is_strict_epi_map(to_zero)  # not surjective onto 1 element
+        assert not C.strictness(to_zero).strict_epi  # not surjective onto 1 element
         onto = PointedMap(X, Y, (0, 0, 1))
-        assert is_strict_epi_map(onto)
+        assert C.strictness(onto).strict_epi
         incl = PointedMap(Y, X, (0, 2))
-        assert is_strict_mono_map(incl)
+        assert C.strictness(incl).strict_mono
 
     def test_generic_matches_closed_form_everywhere(self):
         small = FinPointedSet(max_size=3)
         for X in small.objects():
             for Y in small.objects():
                 for f in small.morphisms(X, Y):
-                    s = classify_strictness(small, f)
-                    assert s.strict_mono == is_strict_mono_map(f)
-                    assert s.strict_epi == is_strict_epi_map(f)
+                    assert classify_strictness(small, f) == small.strictness(f)
 
     def test_strictnessequiv_third_condition(self):
         # strict epi iff f appears as the cokernel of one of its zero-composites
@@ -252,9 +244,9 @@ class TestCounterexampleSuite:
         X, Z, Y = PointedSet(2), PointedSet(1), PointedSet(0)
         f = C.zero_morphism(X, Y)
         g = C.zero_morphism(Z, Y)
-        assert is_strict_epi_map(f) and is_strict_epi_map(g)
+        assert C.strictness(f).strict_epi and C.strictness(g).strict_epi
         proj = C.pullback(f, g).p2
-        assert is_epi_map(proj) and not is_strict_epi_map(proj)
+        assert C.is_epi(proj) and not C.strictness(proj).strict_epi
 
     def test_second_case_details(self):
         # the identity factors through a bigger set; the collapse is not strict
@@ -263,4 +255,4 @@ class TestCounterexampleSuite:
         incl = PointedMap(X, Y, (0, 1))
         collapse = PointedMap(Y, X, (0, 1, 1))
         assert C.compose(collapse, incl) == C.identity(X)
-        assert not is_strict_epi_map(collapse)
+        assert not C.strictness(collapse).strict_epi
