@@ -234,6 +234,14 @@ class _MapAnalysis:
     a preimage of each codomain basis vector (the right block).  The image
     basis needs no elimination for the coordinate change onto the image:
     its pivots are exclusive, so a coordinate is read off at each pivot.
+
+    Full rank gives closed forms.  When f is onto, the only basis of the
+    whole codomain with exclusive unit pivots is its coordinate basis, so
+    that is the image basis; when f is also injective, the elimination has
+    reduced ``[f | I]`` to ``[I | f^-1]``, and since the coordinate change
+    takes the rows of f in pivot order, its inverse is f^-1 with the
+    columns in that order.  When f is injective, the kernel basis is
+    empty.  ``OrthoBasis`` still checks each closed-form basis.
     """
 
     def __init__(self, f: BoundedMap):
@@ -248,6 +256,8 @@ class _MapAnalysis:
 
     @cached_property
     def image_basis(self) -> OrthoBasis:
+        if self.epi:
+            return _coordinate_basis(self.f.codomain)
         return image(self.f)
 
     @cached_property
@@ -260,10 +270,15 @@ class _MapAnalysis:
     @cached_property
     def change_inverse(self) -> list:
         """Inverse of the coordinate change; f mono makes the change invertible."""
-        return linalg.inverse(self.F, self.change)
+        if not (self.mono and self.epi):
+            return linalg.inverse(self.F, self.change)
+        n, ob = self.f.domain.dim, self.image_basis
+        return [[row[n + p] for p in ob.pivots + ob.null_pivots] for row in self.reduced]
 
     @cached_property
     def kernel_basis(self) -> OrthoBasis:
+        if self.mono:
+            return OrthoBasis(self.f.domain, (), (), (), ())
         n = self.f.domain.dim
         return _span_basis(self.f.domain, linalg.echelon_nullspace(self.F, self.reduced, self.pivots, n))
 
@@ -340,6 +355,7 @@ class _MapAnalysis:
         c = contracts(self.image_basis.presented_space(), g.codomain, rows)
         return c, self.epi and c
 
+    @cached_property
     def retraction(self) -> Optional[BoundedMap]:
         if not self.mono:
             return None
@@ -354,6 +370,7 @@ class _MapAnalysis:
             return None
         return cand
 
+    @cached_property
     def section(self) -> Optional[BoundedMap]:
         if not self.epi:
             return None
@@ -363,6 +380,17 @@ class _MapAnalysis:
         if cand is None or compose(f, cand) != identity_map(f.codomain):
             return None
         return cand
+
+
+def _coordinate_basis(space: WeightedSpace) -> OrthoBasis:
+    """The unit vectors of ``space``, weighted coordinates first: the only
+    basis of the whole space with exclusive unit pivots."""
+    units = [Vector(space, tuple(row)) for row in linalg.identity(space.field, space.dim)]
+    weighted = tuple(d for d, w in enumerate(space.weights) if not w.is_zero)
+    null = tuple(d for d, w in enumerate(space.weights) if w.is_zero)
+    return OrthoBasis(
+        space, tuple(units[d] for d in weighted), weighted, tuple(units[d] for d in null), null
+    )
 
 
 def _contraction(domain: WeightedSpace, codomain: WeightedSpace, rows) -> Optional[BoundedMap]:
@@ -389,7 +417,7 @@ def retraction(f: BoundedMap) -> Optional[BoundedMap]:
     The zero extension along the orthogonal complement of the image has the
     smallest possible norm among retractions, so testing it decides the flag.
     """
-    return _MapAnalysis(f).retraction()
+    return _MapAnalysis(f).retraction
 
 
 def section(f: BoundedMap) -> Optional[BoundedMap]:
@@ -399,16 +427,26 @@ def section(f: BoundedMap) -> Optional[BoundedMap]:
     is the norm-minimal preimage, and the operator norm is decided per basis
     vector, so minimizing columns independently is globally optimal.
     """
-    return _MapAnalysis(f).section()
+    return _MapAnalysis(f).section
 
 
 def classify_morphism(f: BoundedMap) -> MorphismClassification:
     """Classification in the non-expanding category; exact in every entry.
 
-    Every flag reads one analysis of f.  Split flags solve for a one-sided
-    inverse of norm at most one.  A mono strict epi has kernel zero, so its
-    quotient comparison is f itself and the strict-epi test is the
+    Every flag reads one analysis of f.  A mono strict epi has kernel zero,
+    so its quotient comparison is f itself and the strict-epi test is the
     isomorphism test.
+
+    The split flags are the strict flags.  A retraction r of norm <= 1
+    gives ``|x| = |r f x| <= |f x|``, and a section s of norm <= 1 bounds
+    the quotient norm of y by ``|s y| <= |y|``; so split implies strict.
+    Conversely, for f a strict mono the residual retraction (the inverse
+    coordinate change on the image pivots, zero elsewhere) sends y to the
+    preimage of ``sum_k y_(p_k) v_k``, whose norm ``max |y_(p_k)| w_(p_k)``
+    is at most ``|y|``; for f a strict epi the norm-minimal preimage of
+    each ``e_d`` has the quotient norm ``w_d``, and the ultrametric
+    inequality bounds every column combination.  ``retraction(f)`` and
+    ``section(f)`` construct these inverses.
     """
     a = map_analysis(f)
     return MorphismClassification(
@@ -417,8 +455,8 @@ def classify_morphism(f: BoundedMap) -> MorphismClassification:
         strict_mono=a.strict_mono,
         strict_epi=a.strict_epi,
         iso=a.mono and a.strict_epi,
-        split_mono=a.retraction() is not None,
-        split_epi=a.section() is not None,
+        split_mono=a.strict_mono,
+        split_epi=a.strict_epi,
     )
 
 

@@ -114,7 +114,7 @@ class WeightedModuleCategory(CategoryInstance):
     def solve_rlp(self, f, g):
         # strict monos split here, so the retraction fills every square over 0
         if f.codomain.dim == 0 and self.strictness(g).strict_mono:
-            return True, self._analysis(g).retraction() is not None
+            return True, self._analysis(g).retraction is not None
         return False, False
 
     def describe_object(self, X: WeightedSpace) -> dict:

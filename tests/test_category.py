@@ -143,6 +143,24 @@ class TestStrictnessMemo:
         assert [(C.is_mono(f), C.is_epi(f)) for f in maps] == expected
         assert calls == []
 
+    def test_each_retraction_is_built_once_per_instance(self, monkeypatch):
+        # the lift solver reads the retraction of each strict mono off its
+        # analysis: one candidate per generator over the whole sweep
+        built = []
+        contraction = con._contraction
+
+        def counted(domain, codomain, rows):
+            built.append((domain, codomain))
+            return contraction(domain, codomain, rows)
+
+        monkeypatch.setattr(con, "_contraction", counted)
+        C = FinWeightedVec(F2, (E0, E1), max_dim=2)
+        monos = admissible_monos(C)
+        for X in C.objects():
+            assert is_injective_object(C, X).ok
+        assert len(monos) == len(built) == 31
+        assert set(built) == {(g.codomain, g.domain) for g in monos}
+
 
 class TestValidateSes:
     def test_biproduct_sequence(self):

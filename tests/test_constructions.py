@@ -10,6 +10,7 @@ from protex import (
     Magnitude,
     PAdicRationals,
     PrimeField,
+    TrivialRationals,
     WeightedSpace,
     basis_vector,
     biproduct,
@@ -36,7 +37,8 @@ from protex import (
     zero_map,
 )
 from protex import linalg
-from protex.constructions import is_iso_nonexpanding, retraction, section
+from protex import constructions as con
+from protex.constructions import is_iso_nonexpanding, map_analysis, retraction, section
 from protex.errors import NotComposable, NotNonExpanding, NotSpanning
 from protex.finvec import FinWeightedVec, WeightedModuleCategory
 from proptools import (
@@ -45,6 +47,7 @@ from proptools import (
     random_strict_epi,
     random_strict_mono,
 )
+from protex.ortho import image
 from protex.randgen import random_space, random_vector
 
 Q2 = PAdicRationals(2)
@@ -222,31 +225,65 @@ def _padic_maps(count):
         yield random_isometric_auto(X, rng)
 
 
+def _trivial_maps(count):
+    # trivially valued Q: entries cannot be rescaled, and null directions are allowed
+    rng = random.Random(607)
+    field = TrivialRationals()
+    for _ in range(count):
+        X = random_space(field, rng, 3, allow_null=True)
+        Y = random_space(field, rng, 3, allow_null=True)
+        yield random_nonexpanding_map(X, Y, rng)
+        yield random_strict_mono(field, rng, max_dim=3, allow_null=True)
+        yield random_strict_epi(field, rng, max_dim=3, allow_null=True)
+        yield random_isometric_auto(X, rng)
+
+
 class TestSharedAnalysis:
     """classify_morphism reads one analysis; the separate entry points agree."""
 
-    @pytest.mark.parametrize("maps", [_finvec_maps, lambda: _padic_maps(150)], ids=["finvec", "padic"])
+    @pytest.mark.parametrize(
+        "maps",
+        [_finvec_maps, lambda: _padic_maps(150), lambda: _trivial_maps(150)],
+        ids=["finvec", "padic", "trivial-q"],
+    )
     def test_flags_match_the_separate_calls(self, maps):
         seen = set()
         for f in maps():
+            F = f.domain.field
             record = classify_morphism(f)
-            generic = classify_strictness(WeightedModuleCategory(f.domain.field), f)
+            generic = classify_strictness(WeightedModuleCategory(F), f)
             assert (record.strict_mono, record.strict_epi) == (generic.strict_mono, generic.strict_epi)
-            rank = linalg.rank(f.domain.field, f.rows())
+            rank = linalg.rank(F, f.rows())
             assert record.mono == (rank == f.domain.dim)
             assert record.epi == (rank == f.codomain.dim)
+            # the split flags, read off the strict flags, against the constructed inverses
             assert record.split_mono == (retraction(f) is not None)
             assert record.split_epi == (section(f) is not None)
             assert record.iso == is_iso_nonexpanding(f)
+            # the full-rank closed forms, against the general computation
+            a = map_analysis(f)
+            if record.epi:
+                assert a.image_basis == image(f)
+            if record.mono and record.epi:
+                assert a.change_inverse == linalg.inverse(F, a.change)
+            if record.mono:
+                assert a.kernel_basis == orthogonalize(f.domain, [])
             seen.add(tuple(record.as_dict().values()))
         # every flag takes both values
         for k in range(7):
             assert {flags[k] for flags in seen} == {False, True}
 
-    def test_one_classification_eliminates_twice(self, monkeypatch):
+    def test_classification_builds_no_one_sided_inverse(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(con, "_contraction", lambda *args: built.append(args))
+        for f in _padic_maps(20):
+            classify_morphism(f)
+        assert built == []
+
+    def test_one_classification_eliminates_once(self, monkeypatch):
         # an isometric automorphism of Q_2^3: every flag holds, so every part
-        # of the analysis is read; eliminating [f | I] and inverting the
-        # coordinate change onto the image are the only eliminations
+        # of the analysis is read; eliminating [f | I] is the only elimination,
+        # since it also holds the inverse coordinate change onto the image
         X = WeightedSpace(Q2, (E0, E1, E0))
         f = bounded_map(X, X, [[1, 2, 0], [0, 1, 0], [0, Fraction(1, 2), 1]])
         calls = []
@@ -259,7 +296,7 @@ class TestSharedAnalysis:
         monkeypatch.setattr(linalg, "rref", counted)
         record = classify_morphism(f)
         assert all(record.as_dict().values())
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestSquares:
