@@ -42,7 +42,6 @@ from .errors import (
     NotSpanning,
     ParseError,
     SolverUnavailable,
-    UnboundedError,
 )
 from .factorization import GeneratingSet, factor_map, precover, special_preenvelope
 from .finvec import FinWeightedVec
@@ -431,7 +430,7 @@ def main(argv=None) -> int:
     try:
         result, lines = handler(args)
     except (ParseError, InvariantViolation, NotComposable, NotNonExpanding,
-            NotSpanning, UnboundedError, SolverUnavailable) as exc:
+            NotSpanning, SolverUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (FuelExhausted, BudgetExceeded) as exc:

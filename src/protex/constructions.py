@@ -19,14 +19,9 @@ from functools import cached_property
 from typing import Optional
 
 from . import linalg
-from .errors import (
-    InvariantViolation,
-    NotComposable,
-    NotNonExpanding,
-    NotSpanning,
-)
+from .errors import InvariantViolation, NotComposable, NotNonExpanding, NotSpanning
 from .ortho import OrthoBasis, image, orthogonalize
-from .scalars import MAG_ONE, Magnitude
+from .scalars import Magnitude
 from .spaces import (
     Biproduct,
     BoundedMap,
@@ -39,7 +34,6 @@ from .spaces import (
     identity_map,
     is_nonexpanding,
     norm,
-    operator_norm,
     rank_one,
     zero_map,
 )
@@ -54,6 +48,8 @@ def kernel(f: BoundedMap) -> tuple[WeightedSpace, BoundedMap]:
 
 def _span_basis(space: WeightedSpace, rows) -> OrthoBasis:
     """Orthogonal basis of the span of coordinate rows of ``space``."""
+    if not rows:
+        return OrthoBasis(space, (), (), (), ())
     return orthogonalize(space, [Vector(space, tuple(r)) for r in rows])
 
 
@@ -130,7 +126,7 @@ def is_iso_nonexpanding(f: BoundedMap) -> bool:
     if not is_nonexpanding(f):
         return False
     inv = inverse_map(f)
-    return inv is not None and contracts(inv.domain, inv.codomain, inv.matrix)
+    return inv is not None and is_nonexpanding(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +151,7 @@ class PullbackSquare:
         if compose(self.f, q1) != compose(self.g, q2):
             return None
         rows = q1.rows() + q2.rows()
-        stacked = bounded_map(q1.domain, self.inclusion.codomain, rows, check=False)
+        stacked = bounded_map(q1.domain, self.inclusion.codomain, rows)
         return factor_through_kernel(self.inclusion, stacked)
 
 
@@ -165,10 +161,10 @@ def pullback(f: BoundedMap, g: BoundedMap) -> PullbackSquare:
     F = f.domain.field
     both = WeightedSpace(F, f.domain.weights + g.domain.weights)
     diff_rows = [list(r) + [F.neg(x) for x in s] for r, s in zip(f.matrix, g.matrix)]
-    _, incl = kernel(bounded_map(both, f.codomain, diff_rows, check=False))
+    _, incl = kernel(bounded_map(both, f.codomain, diff_rows))
     n = f.domain.dim
-    p1 = bounded_map(incl.domain, f.domain, incl.matrix[:n], check=False)
-    p2 = bounded_map(incl.domain, g.domain, incl.matrix[n:], check=False)
+    p1 = bounded_map(incl.domain, f.domain, incl.matrix[:n])
+    p2 = bounded_map(incl.domain, g.domain, incl.matrix[n:])
     return PullbackSquare(incl.domain, p1, p2, incl, f, g)
 
 
@@ -189,7 +185,7 @@ class PushoutSquare:
         if compose(q1, self.i) != compose(q2, self.g):
             return None
         full_rows = [list(a) + list(b) for a, b in zip(q1.rows(), q2.rows())]
-        full = bounded_map(self.projection.domain, q1.codomain, full_rows, check=False)
+        full = bounded_map(self.projection.domain, q1.codomain, full_rows)
         return factor_through_cokernel(self.projection, full)
 
 
@@ -199,10 +195,10 @@ def pushout(i: BoundedMap, g: BoundedMap) -> PushoutSquare:
     F = i.domain.field
     both = WeightedSpace(F, i.codomain.weights + g.codomain.weights)
     rows = [list(r) for r in i.matrix] + [[F.neg(x) for x in r] for r in g.matrix]
-    _, proj = cokernel(bounded_map(i.domain, both, rows, check=False))
+    _, proj = cokernel(bounded_map(i.domain, both, rows))
     n = i.codomain.dim
-    j1 = bounded_map(i.codomain, proj.codomain, [r[:n] for r in proj.matrix], check=False)
-    j2 = bounded_map(g.codomain, proj.codomain, [r[n:] for r in proj.matrix], check=False)
+    j1 = bounded_map(i.codomain, proj.codomain, [r[:n] for r in proj.matrix])
+    j2 = bounded_map(g.codomain, proj.codomain, [r[n:] for r in proj.matrix])
     return PushoutSquare(proj.codomain, j1, j2, proj, i, g)
 
 
@@ -240,8 +236,14 @@ class _MapAnalysis:
     that is the image basis; when f is also injective, the elimination has
     reduced ``[f | I]`` to ``[I | f^-1]``, and since the coordinate change
     takes the rows of f in pivot order, its inverse is f^-1 with the
-    columns in that order.  When f is injective, the kernel basis is
-    empty.  ``OrthoBasis`` still checks each closed-form basis.
+    columns in that order.  When f is injective, the nullspace is empty and
+    so is the kernel basis.  ``OrthoBasis`` still checks each closed form.
+
+    The strict flags are read only through ``map_analysis``, whose gate
+    (norm <= 1) implies the forward half of both isometric isos: the change
+    onto the image is f read through the isometric inclusion of the image,
+    the induced map on the quotient is f on the residual representatives;
+    so each strict test checks only the inverse direction.
     """
 
     def __init__(self, f: BoundedMap):
@@ -277,8 +279,6 @@ class _MapAnalysis:
 
     @cached_property
     def kernel_basis(self) -> OrthoBasis:
-        if self.mono:
-            return OrthoBasis(self.f.domain, (), (), (), ())
         n = self.f.domain.dim
         return _span_basis(self.f.domain, linalg.echelon_nullspace(self.F, self.reduced, self.pivots, n))
 
@@ -300,11 +300,10 @@ class _MapAnalysis:
 
     @cached_property
     def strict_mono(self) -> bool:
-        """Injective and an isometry onto the image."""
-        if not self.mono:
-            return False
-        space = self.image_basis.presented_space()
-        return _isometric_iso(self.f.domain, space, self.change, self.change_inverse)
+        """Injective and an isometry onto the image: the inverse change has norm <= 1."""
+        return self.mono and contracts(
+            self.image_basis.presented_space(), self.f.domain, self.change_inverse
+        )
 
     @cached_property
     def strict_epi(self) -> bool:
@@ -313,11 +312,9 @@ class _MapAnalysis:
         The quotient sits on the coordinates off the kernel pivots, where
         the norm-minimal preimages (zero at those pivots) give the inverse.
         """
-        if not self.epi:
-            return False
-        kb = self.kernel_basis
-        rows = [[row[d] for d in kb.complement] for row in self.f.matrix]
-        return _isometric_iso(kb.quotient_space(), self.f.codomain, rows, self.lift)
+        return self.epi and contracts(
+            self.f.codomain, self.kernel_basis.quotient_space(), self.lift
+        )
 
     @cached_property
     def lift(self) -> list:
@@ -395,18 +392,12 @@ def _coordinate_basis(space: WeightedSpace) -> OrthoBasis:
 
 def _contraction(domain: WeightedSpace, codomain: WeightedSpace, rows) -> Optional[BoundedMap]:
     """The bounded map with these rows if it has operator norm <= 1, else None."""
-    ok = contracts(domain, codomain, rows)
-    return bounded_map(domain, codomain, rows, check=False) if ok else None
-
-
-def _isometric_iso(X: WeightedSpace, Y: WeightedSpace, rows, inv_rows) -> bool:
-    """Whether ``rows``: X -> Y and its inverse ``inv_rows`` both have norm <= 1."""
-    return contracts(X, Y, rows) and contracts(Y, X, inv_rows)
+    return bounded_map(domain, codomain, rows) if contracts(domain, codomain, rows) else None
 
 
 def map_analysis(f: BoundedMap) -> _MapAnalysis:
     """The analysis that every classification flag of f reads (f non-expanding)."""
-    if operator_norm(f) > MAG_ONE:
+    if not contracts(f.domain, f.codomain, f.matrix):
         raise NotNonExpanding("classification applies to maps of operator norm <= 1")
     return _MapAnalysis(f)
 
@@ -485,7 +476,7 @@ def free_cover(M: WeightedSpace, spanning: list[Vector]) -> BoundedMap:
         domain = biproduct([rank_one(F, norm(v)) for v in spanning]).space
     else:
         domain = WeightedSpace(F, ())
-    return bounded_map(domain, M, rows, check=False)
+    return bounded_map(domain, M, rows)
 
 
 @dataclass(frozen=True)
@@ -541,7 +532,7 @@ def coproduct_mediate(bp: Biproduct, legs: list[BoundedMap]) -> BoundedMap:
         raise NotComposable("one leg per coproduct factor required")
     target = legs[0].codomain
     rows = [[x for leg in legs for x in leg.matrix[i]] for i in range(target.dim)]
-    return bounded_map(bp.space, target, rows, check=False)
+    return bounded_map(bp.space, target, rows)
 
 
 def product_mediate(bp: Biproduct, legs: list[BoundedMap]) -> BoundedMap:
@@ -550,7 +541,7 @@ def product_mediate(bp: Biproduct, legs: list[BoundedMap]) -> BoundedMap:
         raise NotComposable("one leg per product factor required")
     source = legs[0].domain
     rows = [list(r) for leg in legs for r in leg.matrix]
-    return bounded_map(source, bp.space, rows, check=False)
+    return bounded_map(source, bp.space, rows)
 
 
 def coproduct_product_comparison(bp: Biproduct) -> BoundedMap:

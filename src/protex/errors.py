@@ -22,11 +22,8 @@ class ParseError(ProtexError):
 
 
 class InvariantViolation(ProtexError):
-    """A constructed value failed one of its structural invariants."""
-
-
-class UnboundedError(ProtexError):
-    """A null direction has a non-null image; no operator norm exists."""
+    """A constructed value failed one of its structural invariants; every map,
+    read from input or built by the library, must send null directions to null."""
 
 
 class NotNonExpanding(ProtexError):

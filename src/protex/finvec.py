@@ -192,7 +192,7 @@ class FinWeightedVec(WeightedModuleCategory):
             raise BudgetExceeded(f"hom-set of more than {self.hom_budget} maps requested")
         columns = (itertools.product(*column) for column in choices)
         return tuple(
-            bounded_map(X, Y, [[col[i] for col in combo] for i in range(Y.dim)], check=False)
+            bounded_map(X, Y, [[col[i] for col in combo] for i in range(Y.dim)])
             for combo in itertools.product(*columns)
         )
 

@@ -88,7 +88,7 @@ class OrthoBasis:
     def inclusion(self) -> BoundedMap:
         cols = [list(v.coords) for v in self.vectors + self.null_vectors]
         rows = [[col[i] for col in cols] for i in range(self.ambient.dim)]
-        return bounded_map(self.presented_space(), self.ambient, rows, check=False)
+        return bounded_map(self.presented_space(), self.ambient, rows)
 
     def quotient_space(self) -> WeightedSpace:
         weights = tuple(self.ambient.weights[d] for d in self.complement)
@@ -101,7 +101,7 @@ class OrthoBasis:
         for v, p in zip(self.vectors + self.null_vectors, self.pivots + self.null_pivots):
             for row, d in zip(rows, comp):
                 row[p] = F.neg(v.coords[d])
-        return bounded_map(self.ambient, self.quotient_space(), rows, check=False)
+        return bounded_map(self.ambient, self.quotient_space(), rows)
 
     def residual(self, m: Vector) -> Vector:
         """Representative of the coset of ``m`` with zeros at every pivot."""

@@ -10,8 +10,8 @@ An integral exponent is stored as an ``int`` and any other as a
 ``Fraction`` in lowest terms, so the common case (every p-adic absolute
 value, every integer weight) multiplies and hashes without ``Fraction``
 arithmetic; ``hash(n) == hash(Fraction(n))``, so both forms hash and
-compare alike.  Products, quotients, parsed magnitudes and absolute values
-that are integer powers are interned: one shared object per exponent.
+compare alike.  ``Magnitude.of``, products, quotients, parsing and absolute
+values build through ``_magnitude``: one shared object per integer power.
 
 Fields come with an exact absolute value into magnitudes:
 
@@ -55,8 +55,7 @@ class Magnitude:
 
     @staticmethod
     def of(exponent) -> "Magnitude":
-        q = Fraction(exponent)
-        return Magnitude(q.numerator if q.denominator == 1 else q)
+        return _magnitude(Fraction(exponent))
 
     @property
     def is_zero(self) -> bool:

@@ -7,12 +7,12 @@ semi-normed null direction.  Every construction below is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .errors import InvariantViolation, NotComposable, UnboundedError
-from .scalars import MAG_ONE, MAG_ZERO, Magnitude, ValuedField, _magnitude
+from .errors import InvariantViolation, NotComposable
+from .scalars import MAG_ZERO, Magnitude, ValuedField, _magnitude
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,6 @@ class WeightedSpace:
     @property
     def dim(self) -> int:
         return len(self.weights)
-
-    @property
-    def null_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w.is_zero)
 
     def __repr__(self) -> str:
         tag = self.label or "space"
@@ -94,20 +90,20 @@ def norm(v: Vector) -> Magnitude:
 class BoundedMap:
     """Module map as an exact matrix (codomain.dim rows x domain.dim columns).
 
-    Construction checks well-definedness on null directions: a basis vector
-    of weight zero must land on a vector of norm zero, otherwise no finite
-    operator norm exists.
+    Construction checks the shape and, for every map, read or built, that a
+    basis vector of weight zero lands on a vector of norm zero; otherwise
+    no finite operator norm exists.
     """
 
     domain: WeightedSpace
     codomain: WeightedSpace
     matrix: tuple[tuple, ...]
-    check: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.domain.field != self.codomain.field:
+        F, cod = self.domain.field, self.codomain.weights
+        if F != self.codomain.field:
             raise InvariantViolation("domain and codomain live over different fields")
-        m, n = len(self.codomain.weights), len(self.domain.weights)
+        m, n = len(cod), len(self.domain.weights)
         if len(self.matrix) != m:
             raise InvariantViolation(
                 f"matrix has {len(self.matrix)} rows, codomain dimension is {m}"
@@ -117,8 +113,12 @@ class BoundedMap:
                 raise InvariantViolation(
                     f"matrix row {i} has {len(row)} entries, domain dimension is {n}"
                 )
-        if self.check:
-            _reject_null_images(self.domain, self.codomain, self.matrix, InvariantViolation)
+        # null columns in the outer loop, so the error names the least such index
+        for j, w in enumerate(self.domain.weights):
+            if w.exponent is None and any(
+                not F.is_zero(r[j]) for v, r in zip(cod, self.matrix) if v.exponent is not None
+            ):
+                raise InvariantViolation(f"null direction at basis index {j} has a non-null image")
 
     def column(self, j: int) -> Vector:
         return Vector(self.codomain, tuple(row[j] for row in self.matrix))
@@ -134,12 +134,12 @@ class BoundedMap:
         return [list(r) for r in self.matrix]
 
 
-def bounded_map(domain: WeightedSpace, codomain: WeightedSpace, rows, check: bool = True) -> BoundedMap:
-    return BoundedMap(domain, codomain, tuple(tuple(r) for r in rows), check)
+def bounded_map(domain: WeightedSpace, codomain: WeightedSpace, rows) -> BoundedMap:
+    return BoundedMap(domain, codomain, tuple(tuple(r) for r in rows))
 
 
 def identity_map(space: WeightedSpace) -> BoundedMap:
-    return bounded_map(space, space, linalg.identity(space.field, space.dim), check=False)
+    return bounded_map(space, space, linalg.identity(space.field, space.dim))
 
 
 def identity_between(domain: WeightedSpace, codomain: WeightedSpace) -> BoundedMap:
@@ -151,9 +151,7 @@ def identity_between(domain: WeightedSpace, codomain: WeightedSpace) -> BoundedM
 
 def zero_map(domain: WeightedSpace, codomain: WeightedSpace) -> BoundedMap:
     F = domain.field
-    return bounded_map(
-        domain, codomain, [[F.zero] * domain.dim for _ in range(codomain.dim)], check=False
-    )
+    return bounded_map(domain, codomain, [[F.zero] * domain.dim for _ in range(codomain.dim)])
 
 
 def compose(g: BoundedMap, f: BoundedMap) -> BoundedMap:
@@ -161,15 +159,7 @@ def compose(g: BoundedMap, f: BoundedMap) -> BoundedMap:
     if f.codomain != g.domain:
         raise NotComposable("codomain of the first map must equal domain of the second")
     prod = linalg.mat_mul(f.domain.field, g.matrix, f.matrix, f.domain.dim)
-    return bounded_map(f.domain, g.codomain, prod, check=False)
-
-
-def _reject_null_images(domain: WeightedSpace, codomain: WeightedSpace, rows, error) -> None:
-    """Raise ``error`` at the least null basis index that ``rows`` maps to a non-null vector."""
-    F, cod = domain.field, codomain.weights
-    for j in domain.null_indices:
-        if any(not F.is_zero(r[j]) for w, r in zip(cod, rows) if w.exponent is not None):
-            raise error(f"null direction at basis index {j} has a non-null image")
+    return bounded_map(f.domain, g.codomain, prod)
 
 
 def _stretches(domain: WeightedSpace, codomain: WeightedSpace, rows):
@@ -192,13 +182,12 @@ def contracts(domain: WeightedSpace, codomain: WeightedSpace, rows) -> bool:
 
 def operator_norm(f: BoundedMap) -> Magnitude:
     """sup of ||f(x)|| / ||x||: the max of ||f(e_i)|| / w_i over non-null w_i (orthogonal basis)."""
-    _reject_null_images(f.domain, f.codomain, f.matrix, UnboundedError)
     best = max((s for _, s in _stretches(f.domain, f.codomain, f.matrix)), default=None)
     return MAG_ZERO if best is None else _magnitude(best)
 
 
 def is_nonexpanding(f: BoundedMap) -> bool:
-    return operator_norm(f) <= MAG_ONE
+    return contracts(f.domain, f.codomain, f.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +208,7 @@ def separation(space: WeightedSpace) -> tuple[WeightedSpace, BoundedMap]:
     sep = WeightedSpace(space.field, tuple(space.weights[i] for i in keep), space.label)
     F = space.field
     rows = [[F.one if j == i else F.zero for j in range(space.dim)] for i in keep]
-    return sep, bounded_map(space, sep, rows, check=False)
+    return sep, bounded_map(space, sep, rows)
 
 
 @dataclass(frozen=True)
@@ -248,6 +237,6 @@ def biproduct(spaces: list[WeightedSpace]) -> Biproduct:
     for s, off in zip(spaces, offsets):
         inj = [[F.one if (i == off + j) else F.zero for j in range(s.dim)] for i in range(n)]
         proj = [[F.one if (j == off + i) else F.zero for j in range(n)] for i in range(s.dim)]
-        injections.append(bounded_map(s, total, inj, check=False))
-        projections.append(bounded_map(total, s, proj, check=False))
+        injections.append(bounded_map(s, total, inj))
+        projections.append(bounded_map(total, s, proj))
     return Biproduct(total, tuple(injections), tuple(projections))

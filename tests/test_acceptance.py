@@ -217,8 +217,8 @@ def test_criterion_8_rescaling_adjunction():
                         list(entries[i * M.dim : (i + 1) * M.dim]) for i in range(N.dim)
                     ]
                     checked += 1
-                    as_scaled = operator_norm(bounded_map(rescaled, N, rows, check=False))
-                    as_plain = operator_norm(bounded_map(M, N, rows, check=False))
+                    as_scaled = operator_norm(bounded_map(rescaled, N, rows))
+                    as_plain = operator_norm(bounded_map(M, N, rows))
                     if (as_scaled <= MAG_ONE) != (as_plain <= delta):
                         mismatch += 1
     random_violations = run_cases(proptools.case_rescaling_adjunction, 1000, seed=808)
@@ -239,7 +239,7 @@ def test_criterion_9_free_covers():
     for _ in range(25):
         field = proptools.random_field(rng)
         sp = random_space(field, rng, 3, allow_null=True, min_dim=1)
-        if not sp.null_indices:
+        if not any(w.is_zero for w in sp.weights):
             sp = WeightedSpace(field, sp.weights + (MAG_ZERO,))
         nulls += 1
         spanning = [basis_vector(sp, i) for i in range(sp.dim)]

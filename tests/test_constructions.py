@@ -154,7 +154,7 @@ class TestClassify:
         assert record.strict_mono
         assert record.split_mono  # residual retraction exists here
         Y = WeightedSpace(F2, (E1,))
-        f = bounded_map(WeightedSpace(F2, (E0,)), Y, [[1]], check=False)
+        f = bounded_map(WeightedSpace(F2, (E0,)), Y, [[1]])
         # expanding map cannot be classified
         with pytest.raises(NotNonExpanding):
             classify_morphism(f)
@@ -184,10 +184,9 @@ class TestClassify:
                     rows = [
                         list(entries[i * X.dim : (i + 1) * X.dim]) for i in range(Y.dim)
                     ]
-                    f = bounded_map(X, Y, rows, check=False)
+                    f = bounded_map(X, Y, rows)
                     if operator_norm(f) > MAG_ONE:
                         continue
-                    f = bounded_map(X, Y, rows)
                     record = classify_morphism(f)
                     found_retraction = False
                     found_section = False
@@ -195,7 +194,7 @@ class TestClassify:
                         rows_b = [
                             list(back[i * Y.dim : (i + 1) * Y.dim]) for i in range(X.dim)
                         ]
-                        g = bounded_map(Y, X, rows_b, check=False)
+                        g = bounded_map(Y, X, rows_b)
                         if operator_norm(g) > MAG_ONE:
                             continue
                         if compose(g, f) == identity_map(X):
@@ -279,6 +278,25 @@ class TestSharedAnalysis:
         for f in _padic_maps(20):
             classify_morphism(f)
         assert built == []
+
+    def test_constructions_orthogonalize_no_empty_list(self, monkeypatch):
+        # an injective map has an empty nullspace: its kernel basis is empty
+        # without an orthogonalization, in kernel(), pullback and the analysis
+        sizes = []
+        real = con.orthogonalize
+
+        def spy(space, generators):
+            sizes.append(len(generators))
+            return real(space, generators)
+
+        monkeypatch.setattr(con, "orthogonalize", spy)
+        mono = 0
+        for f in _padic_maps(40):
+            mono += classify_morphism(f).mono
+            kernel(f)
+            pullback(f, f)
+            pushout(f, f)
+        assert mono >= 20 and sizes and 0 not in sizes
 
     def test_one_classification_eliminates_once(self, monkeypatch):
         # an isometric automorphism of Q_2^3: every flag holds, so every part

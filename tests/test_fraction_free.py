@@ -1,9 +1,9 @@
 """The integer-row loops against the element-wise loops they replaced.
 
-``linalg.rref``, ``spaces.compose`` and ``ortho.orthogonalize`` run on the
-field's integer-row form.  The references below are the former loops,
-which make one field call per entry operation; both must give the same
-values on every field.
+``linalg.rref``, ``linalg.mat_mul`` (which ``spaces.compose`` calls) and
+``ortho.orthogonalize`` run on the field's integer-row form.  The
+references below are the former loops, which make one field call per
+entry operation; both must give the same values on every field.
 """
 
 import random
@@ -22,7 +22,7 @@ from protex import (
 )
 from protex import linalg
 from protex.randgen import random_space
-from protex.spaces import Vector, bounded_map, compose
+from protex.spaces import Vector
 
 FIELDS = [PAdicRationals(2), PAdicRationals(3), TrivialRationals(), PrimeField(2), PrimeField(3)]
 
@@ -51,16 +51,15 @@ def reference_rref(F, a):
     return rows, pivots
 
 
-def reference_compose(g, f):
-    F = f.domain.field
-    prod = [[F.zero] * f.domain.dim for _ in range(g.codomain.dim)]
-    for i in range(g.codomain.dim):
-        for k in range(g.domain.dim):
-            gik = g.matrix[i][k]
+def reference_compose(F, g, f, n):
+    """The rows of ``g f`` for f with n columns."""
+    prod = [[F.zero] * n for _ in g]
+    for i, row in enumerate(g):
+        for k, gik in enumerate(row):
             if F.is_zero(gik):
                 continue
-            for j in range(f.domain.dim):
-                prod[i][j] = F.add(prod[i][j], F.mul(gik, f.matrix[k][j]))
+            for j in range(n):
+                prod[i][j] = F.add(prod[i][j], F.mul(gik, f[k][j]))
     return prod
 
 
@@ -186,9 +185,10 @@ class TestAgainstTheElementWiseLoops:
         tally = {"big": 0}
         for _ in range(300):
             X, Y, Z = (random_space(F, rng, 3, allow_null=True) for _ in range(3))
-            f = bounded_map(X, Y, random_rows(F, rng, Y.dim, X.dim, tally), check=False)
-            g = bounded_map(Y, Z, random_rows(F, rng, Z.dim, Y.dim, tally), check=False)
-            assert [list(r) for r in compose(g, f).matrix] == reference_compose(g, f)
+            # raw rows: a null direction may have a non-null image, which no map allows
+            f = random_rows(F, rng, Y.dim, X.dim, tally)
+            g = random_rows(F, rng, Z.dim, Y.dim, tally)
+            assert linalg.mat_mul(F, g, f, X.dim) == reference_compose(F, g, f, X.dim)
         assert tally["big"] >= (0 if isinstance(F, PrimeField) else 100)
 
     def test_orthogonalize(self, F):

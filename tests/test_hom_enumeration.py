@@ -15,7 +15,7 @@ import pytest
 
 from protex import MAG_ONE, MAG_ZERO, FinWeightedVec, Magnitude, PrimeField, WeightedSpace
 from protex.category import admissible_monos, audit_obscure
-from protex.errors import UnboundedError
+from protex.errors import InvariantViolation
 from protex.factorization import GeneratingSet, precover
 from protex.spaces import bounded_map, is_nonexpanding
 
@@ -41,12 +41,12 @@ def _brute_hom(X: WeightedSpace, Y: WeightedSpace) -> list:
     out = []
     for entries in itertools.product(range(X.field.p), repeat=X.dim * Y.dim):
         rows = [[entries[j * Y.dim + i] for j in range(X.dim)] for i in range(Y.dim)]
-        f = bounded_map(X, Y, rows, check=False)
         try:
-            if is_nonexpanding(f):
-                out.append(f)
-        except UnboundedError:  # a null direction with a non-null image
-            pass
+            f = bounded_map(X, Y, rows)
+        except InvariantViolation:  # a null direction with a non-null image
+            continue
+        if is_nonexpanding(f):
+            out.append(f)
     return out
 
 

@@ -131,7 +131,7 @@ class TestPAdicAbsValue:
     def test_cached_magnitudes_equal_fresh_ones(self, p, x):
         F = PAdicRationals(p)
         m = F.abs_value(x)
-        fresh = Magnitude.of(m.exponent)
+        fresh = Magnitude(m.exponent)
         assert m is not fresh and m == fresh
         assert hash(m) == hash(fresh)
         assert format_magnitude(m) == format_magnitude(fresh)
@@ -290,11 +290,12 @@ class TestExponentRepresentation:
         v = trial_division_valuation(q.numerator, p) - trial_division_valuation(q.denominator, p)
         assert_normal(PAdicRationals(p).abs_value(x), -v)
 
-    def test_of_normalizes_into_a_fresh_object(self):
+    def test_of_normalizes_into_the_interned_object(self):
         assert type(MAG_ONE.exponent) is int
         m = Magnitude.of(Fraction(4, 2))
         assert type(m.exponent) is int and m.exponent == 2
-        assert m is not Magnitude.of(2) and m == Magnitude.of(2)
+        assert m is Magnitude.of(2) and Magnitude.of(0) is MAG_ONE
+        assert Magnitude.of(1) is parse_magnitude("g^1")
         assert type(Magnitude.of(Fraction(1, 2)).exponent) is Fraction
 
     def test_audits_do_no_fraction_arithmetic(self, monkeypatch):

@@ -25,7 +25,7 @@ from protex import (
     zero_map,
     zero_vector,
 )
-from protex.errors import InvariantViolation, NotComposable, UnboundedError
+from protex.errors import InvariantViolation, NotComposable
 from protex.spaces import BoundedMap, is_nonexpanding
 
 Q2 = PAdicRationals(2)
@@ -67,13 +67,6 @@ class TestBoundedMap:
         # null to null is fine
         Z = WeightedSpace(Q2, (MAG_ZERO,))
         bounded_map(X, Z, [[Fraction(1), Fraction(0)]])
-
-    def test_unbounded_error_on_unchecked_map(self):
-        X = WeightedSpace(Q2, (MAG_ZERO,))
-        Y = WeightedSpace(Q2, (E0,))
-        bad = bounded_map(X, Y, [[Fraction(1)]], check=False)
-        with pytest.raises(UnboundedError):
-            operator_norm(bad)
 
     def test_compose_requires_matching_spaces(self):
         X = WeightedSpace(Q2, (E0,))
