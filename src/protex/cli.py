@@ -36,12 +36,8 @@ from .errors import (
     ENUMERATION_CAP,
     BudgetExceeded,
     FuelExhausted,
-    InvariantViolation,
-    NotComposable,
-    NotNonExpanding,
-    NotSpanning,
     ParseError,
-    SolverUnavailable,
+    ProtexError,
 )
 from .factorization import GeneratingSet, factor_map, precover, special_preenvelope
 from .finvec import FinWeightedVec
@@ -194,7 +190,7 @@ def _cmd_compute(args):
         gens = [ser.parse_vector(v, space, f"sub[{i}]") for i, v in enumerate(sub_raw)]
         basis = orthogonalize(space, gens)
         if op == "orthogonalize":
-            ranks = f"rank {len(basis.vectors)}, null rank {len(basis.null_vectors)}"
+            ranks = f"rank {basis.rank}, null rank {len(basis.vectors) - basis.rank}"
             return {"basis": ser.ortho_to_json(basis)}, [f"orthogonalize: {ranks}"]
         vec = ser.parse_vector(
             ser.load_json_file(_require(args, "vector_path", "--vector")), space, "vector"
@@ -429,13 +425,12 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         result, lines = handler(args)
-    except (ParseError, InvariantViolation, NotComposable, NotNonExpanding,
-            NotSpanning, SolverUnavailable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (FuelExhausted, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except ProtexError as exc:  # every other package error is bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     report = ser.make_report(args.command, _options_of(args), result)
     payload = ser.dump_report(report)
     if args.output:

@@ -49,7 +49,7 @@ def kernel(f: BoundedMap) -> tuple[WeightedSpace, BoundedMap]:
 def _span_basis(space: WeightedSpace, rows) -> OrthoBasis:
     """Orthogonal basis of the span of coordinate rows of ``space``."""
     if not rows:
-        return OrthoBasis(space, (), (), (), ())
+        return OrthoBasis(space, (), ())
     return orthogonalize(space, [Vector(space, tuple(r)) for r in rows])
 
 
@@ -267,7 +267,7 @@ class _MapAnalysis:
         """Coordinates of the columns of f in the image basis: the rows of f at
         the image pivots, since each basis vector is one at its exclusive pivot."""
         ob = self.image_basis
-        return [list(self.f.matrix[p]) for p in ob.pivots + ob.null_pivots]
+        return [list(self.f.matrix[p]) for p in ob.pivots]
 
     @cached_property
     def change_inverse(self) -> list:
@@ -275,7 +275,7 @@ class _MapAnalysis:
         if not (self.mono and self.epi):
             return linalg.inverse(self.F, self.change)
         n, ob = self.f.domain.dim, self.image_basis
-        return [[row[n + p] for p in ob.pivots + ob.null_pivots] for row in self.reduced]
+        return [[row[n + p] for p in ob.pivots] for row in self.reduced]
 
     @cached_property
     def kernel_basis(self) -> OrthoBasis:
@@ -359,7 +359,7 @@ class _MapAnalysis:
         f, F, ob = self.f, self.F, self.image_basis
         # the inverse coordinate change, read at the image pivots, zero elsewhere
         rows = [[F.zero] * f.codomain.dim for _ in range(f.domain.dim)]
-        for k, p in enumerate(ob.pivots + ob.null_pivots):
+        for k, p in enumerate(ob.pivots):
             for i, row in enumerate(self.change_inverse):
                 rows[i][p] = row[k]
         cand = _contraction(f.codomain, f.domain, rows)
@@ -382,12 +382,9 @@ class _MapAnalysis:
 def _coordinate_basis(space: WeightedSpace) -> OrthoBasis:
     """The unit vectors of ``space``, weighted coordinates first: the only
     basis of the whole space with exclusive unit pivots."""
-    units = [Vector(space, tuple(row)) for row in linalg.identity(space.field, space.dim)]
-    weighted = tuple(d for d, w in enumerate(space.weights) if not w.is_zero)
-    null = tuple(d for d, w in enumerate(space.weights) if w.is_zero)
-    return OrthoBasis(
-        space, tuple(units[d] for d in weighted), weighted, tuple(units[d] for d in null), null
-    )
+    units = linalg.identity(space.field, space.dim)
+    order = sorted(range(space.dim), key=lambda d: space.weights[d].is_zero)
+    return OrthoBasis(space, tuple(Vector(space, tuple(units[d])) for d in order), tuple(order))
 
 
 def _contraction(domain: WeightedSpace, codomain: WeightedSpace, rows) -> Optional[BoundedMap]:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
-Exit-code contract of the CLI: bad input maps to 2, exhausted budgets
-and fuel map to 3, everything else that completes reports verdicts
-inside the report and exits 0.
+Exit-code contract of the CLI: FuelExhausted and BudgetExceeded map to
+3, every other ProtexError is bad input and maps to 2, and a run that
+completes reports its verdicts inside the report and exits 0.
 """
 
 ENUMERATION_CAP = 1_000_000  # the most objects or maps an enumerable instance lists at once

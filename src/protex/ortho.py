@@ -16,7 +16,7 @@ coordinates the row does not touch, so the pivot term stays the maximal
 coordinate term.  Rows whose remaining entries all sit at weight-zero
 coordinates can never be selected; afterwards each of them, in row order,
 pivots on its first non-zero entry by the same normalize-and-eliminate
-step, and they form the null part of the basis.
+step; these null rows, the only ones with a pivot of weight zero, come last.
 
 The exclusive unit-pivot certificate (each basis vector is one at a
 coordinate at which all other rows vanish) makes quotient norms exact: the
@@ -42,26 +42,20 @@ class OrthoBasis:
     ``vectors[j]`` is one at ``pivots[j]``, every other row vanishes there,
     and its norm is the ambient weight of that pivot; so the norm of any
     linear combination is the max of the coefficient-scaled pivot weights.
-    ``null_vectors`` span the norm-zero part and carry their own unit pivots.
+    Rows of pivot weight zero span the norm-zero part and come after the others.
     """
 
     ambient: WeightedSpace
     vectors: tuple[Vector, ...]
     pivots: tuple[int, ...]
-    null_vectors: tuple[Vector, ...]
-    null_pivots: tuple[int, ...]
 
     def __post_init__(self):
-        F = self.ambient.field
-        if len(self.vectors) != len(self.pivots):
+        F, rows, weights = self.ambient.field, self.vectors, self.ambient.weights
+        if len(rows) != len(self.pivots):
             raise InvariantViolation("one pivot per basis vector required")
-        if len(self.null_vectors) != len(self.null_pivots):
-            raise InvariantViolation("one pivot per null vector required")
-        all_pivots = self.pivots + self.null_pivots
-        if len(set(all_pivots)) != len(all_pivots):
+        if len(set(self.pivots)) != len(self.pivots):
             raise InvariantViolation("pivot coordinates must be distinct")
-        rows = self.vectors + self.null_vectors
-        for j, (v, p) in enumerate(zip(rows, all_pivots)):
+        for j, (v, p) in enumerate(zip(rows, self.pivots)):
             if v.space != self.ambient:
                 raise InvariantViolation("basis vector outside the ambient space")
             if v.coords[p] != F.one:
@@ -71,22 +65,28 @@ class OrthoBasis:
                     raise InvariantViolation(
                         f"pivot {p} of row {j} is not exclusive (row {k} hits it)"
                     )
-            weight = self.ambient.weights[p]
-            if norm(v) != weight or weight.is_zero != (j >= len(self.vectors)):
+            if norm(v) != weights[p]:
                 raise InvariantViolation(f"row {j} does not have the norm of its pivot weight")
+            if j and weights[self.pivots[j - 1]].is_zero and not weights[p].is_zero:
+                raise InvariantViolation(f"weighted row {j} follows a null row")
+
+    @property
+    def rank(self) -> int:
+        """The number of weighted rows; the null rows follow them."""
+        return sum(1 for p in self.pivots if not self.ambient.weights[p].is_zero)
 
     @property
     def complement(self) -> tuple[int, ...]:
         """Ambient coordinates that are no pivot: the quotient's coordinates."""
-        used = set(self.pivots + self.null_pivots)
+        used = set(self.pivots)
         return tuple(d for d in range(self.ambient.dim) if d not in used)
 
     def presented_space(self) -> WeightedSpace:
-        weights = tuple(self.ambient.weights[p] for p in self.pivots + self.null_pivots)
+        weights = tuple(self.ambient.weights[p] for p in self.pivots)
         return WeightedSpace(self.ambient.field, weights)
 
     def inclusion(self) -> BoundedMap:
-        cols = [list(v.coords) for v in self.vectors + self.null_vectors]
+        cols = [list(v.coords) for v in self.vectors]
         rows = [[col[i] for col in cols] for i in range(self.ambient.dim)]
         return bounded_map(self.presented_space(), self.ambient, rows)
 
@@ -98,7 +98,7 @@ class OrthoBasis:
         """The quotient map: each coordinate's residual on the complement (minus v at v's pivot)."""
         F, comp = self.ambient.field, self.complement
         rows = [[F.one if c == d else F.zero for c in range(self.ambient.dim)] for d in comp]
-        for v, p in zip(self.vectors + self.null_vectors, self.pivots + self.null_pivots):
+        for v, p in zip(self.vectors, self.pivots):
             for row, d in zip(rows, comp):
                 row[p] = F.neg(v.coords[d])
         return bounded_map(self.ambient, self.quotient_space(), rows)
@@ -109,7 +109,7 @@ class OrthoBasis:
             raise InvariantViolation("vector does not live in the ambient space")
         F = self.ambient.field
         coords = list(m.coords)
-        for v, p in zip(self.vectors + self.null_vectors, self.pivots + self.null_pivots):
+        for v, p in zip(self.vectors, self.pivots):
             factor = coords[p]  # the pivot entry of v is one
             if F.is_zero(factor):
                 continue
@@ -169,22 +169,16 @@ def orthogonalize(space: WeightedSpace, generators) -> OrthoBasis:
 
     # leftover rows are supported on weight-zero coordinates: each pivots on
     # its first non-zero entry, in row order
-    weighted = len(done)
     for idx in live:
         row = rows[idx]
         c = next((c for c, x in enumerate(row[:-1]) if x), None)
         if c is not None:
             pivot_on(c, row)
 
-    def presented(part):
-        """(vectors, pivots) of processed rows in pivot order, each pivot entry one."""
-        part = sorted(part, key=lambda pr: pr[0])
-        vectors = tuple(Vector(space, tuple(F.from_ints(r[:-1], r[c]))) for c, r in part)
-        return vectors, tuple(c for c, _ in part)
-
-    vectors, pivots = presented(done[:weighted])
-    null_vectors, null_pivots = presented(done[weighted:])
-    return OrthoBasis(space, vectors, pivots, null_vectors, null_pivots)
+    # weighted rows, then null rows, each part in pivot order; each pivot entry one
+    done.sort(key=lambda pr: (exps[pr[0]] is None, pr[0]))
+    vectors = tuple(Vector(space, tuple(F.from_ints(r[:-1], r[c]))) for c, r in done)
+    return OrthoBasis(space, vectors, tuple(c for c, _ in done))
 
 
 def quotient_norm(sub: OrthoBasis, m: Vector) -> Magnitude:

@@ -29,6 +29,14 @@ from .scalars import (
 from .spaces import BoundedMap, Vector, WeightedSpace, bounded_map, norm
 
 
+def _read(path: str, read, value):
+    """``read(value)``, with a ValueError or ZeroDivisionError of the reader as a ParseError."""
+    try:
+        return read(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(path, str(exc)) from exc
+
+
 def _need(data: dict, key: str, path: str):
     if not isinstance(data, dict):
         raise ParseError(path, f"expected an object, got {type(data).__name__}")
@@ -59,19 +67,13 @@ def parse_field(data: Any, path: str = "field") -> ValuedField:
         p = data["padic"]
         if not isinstance(p, int):
             raise ParseError(f"{path}.padic", "prime must be an integer")
-        try:
-            return PAdicRationals(p)
-        except ValueError as exc:
-            raise ParseError(f"{path}.padic", str(exc)) from exc
+        return _read(f"{path}.padic", PAdicRationals, p)
     if "trivial" in data:
         tag = data["trivial"]
         if tag == "Q":
             return TrivialRationals()
         if isinstance(tag, str) and tag.startswith("F"):
-            try:
-                return PrimeField(int(tag[1:]))
-            except ValueError as exc:
-                raise ParseError(f"{path}.trivial", str(exc)) from exc
+            return _read(f"{path}.trivial", lambda t: PrimeField(int(t)), tag[1:])
         raise ParseError(f"{path}.trivial", f"unknown trivially valued field {tag!r}")
     raise ParseError(path, "field must be 'padic' or 'trivial'")
 
@@ -79,10 +81,7 @@ def parse_field(data: Any, path: str = "field") -> ValuedField:
 def parse_magnitude_str(text: Any, path: str) -> Magnitude:
     if not isinstance(text, str):
         raise ParseError(path, "magnitude must be a string")
-    try:
-        return parse_magnitude(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(path, str(exc)) from exc
+    return _read(path, parse_magnitude, text)
 
 
 def space_to_json(space: WeightedSpace) -> dict:
@@ -112,10 +111,7 @@ def parse_space(data: Any, path: str = "space") -> WeightedSpace:
 def parse_element(field: ValuedField, text: Any, path: str):
     if not isinstance(text, str):
         raise ParseError(path, "field element must be a string")
-    try:
-        return field.parse_element(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(path, str(exc)) from exc
+    return _read(path, field.parse_element, text)
 
 
 def vector_to_json(v: Vector) -> list:
@@ -177,13 +173,14 @@ def parse_map(data: Any, path: str = "map") -> BoundedMap:
 
 
 def ortho_to_json(ob: OrthoBasis) -> dict:
+    r = ob.rank
     return {
         "ambient": space_to_json(ob.ambient),
-        "vectors": [vector_to_json(v) for v in ob.vectors],
-        "pivots": list(ob.pivots),
-        "norms": [format_magnitude(norm(v)) for v in ob.vectors],
-        "null_vectors": [vector_to_json(v) for v in ob.null_vectors],
-        "null_pivots": list(ob.null_pivots),
+        "vectors": [vector_to_json(v) for v in ob.vectors[:r]],
+        "pivots": list(ob.pivots[:r]),
+        "norms": [format_magnitude(norm(v)) for v in ob.vectors[:r]],
+        "null_vectors": [vector_to_json(v) for v in ob.vectors[r:]],
+        "null_pivots": list(ob.pivots[r:]),
     }
 
 
@@ -198,10 +195,7 @@ def parse_instance(data: Any, path: str = "instance") -> CategoryInstance:
         p = _need(data, "p", path)
         if not isinstance(p, int):
             raise ParseError(f"{path}.p", "prime must be an integer")
-        try:
-            field = PrimeField(p)
-        except ValueError as exc:
-            raise ParseError(f"{path}.p", str(exc)) from exc
+        field = _read(f"{path}.p", PrimeField, p)
         weights_raw = _need(data, "weights", path)
         if not isinstance(weights_raw, list) or not weights_raw:
             raise ParseError(f"{path}.weights", "expected a non-empty list")

@@ -17,6 +17,7 @@ from protex import (
     MAG_ONE,
     MAG_ZERO,
     Magnitude,
+    OrthoBasis,
     ShortExactSequence,
     WeightedModuleCategory,
     WeightedSpace,
@@ -64,6 +65,67 @@ def add_vectors(u: Vector, v: Vector) -> Vector:
 def scale_vector(a, v: Vector) -> Vector:
     F = v.space.field
     return Vector(v.space, tuple(F.mul(a, c) for c in v.coords))
+
+
+def reference_orthogonalize(space: WeightedSpace, generators) -> OrthoBasis:
+    """The element-arithmetic loop that ``orthogonalize`` replaced: one field
+    call per entry operation, with the weighted rows before the null rows.
+
+    Weighted pivots are chosen by the largest |entry| * weight, ties to the
+    lowest coordinate, then the lowest row; each row left on weight-zero
+    coordinates then pivots on its first non-zero entry, in row order.
+    """
+    F = space.field
+    rows = [list(g.coords) for g in generators if not g.is_zero]
+    live = list(range(len(rows)))
+    done = []
+
+    def reduce_row(row, c, prow):
+        factor = F.div(row[c], prow[c])
+        if not F.is_zero(factor):
+            for i in range(len(row)):
+                row[i] = F.sub(row[i], F.mul(factor, prow[i]))
+
+    def pivot_on(c, row):
+        inv = F.div(F.one, row[c])
+        for i in range(len(row)):
+            row[i] = F.mul(inv, row[i])
+        for _, other in done:
+            reduce_row(other, c, row)
+        for idx in live:
+            if rows[idx] is not row:
+                reduce_row(rows[idx], c, row)
+        done.append((c, row))
+
+    while True:
+        best = None
+        for idx in live:
+            for c, entry in enumerate(rows[idx]):
+                mag = F.abs_value(entry) * space.weights[c]
+                if mag.is_zero:
+                    continue
+                key = (mag, -c, -idx)
+                if best is None or key[0] > best[0][0] or (
+                    key[0] == best[0][0] and key[1:] > best[0][1:]
+                ):
+                    best = (key, c, idx)
+        if best is None:
+            break
+        _, c, idx = best
+        live.remove(idx)
+        pivot_on(c, rows[idx])
+    weighted = len(done)
+    for idx in live:
+        c = next((c for c, x in enumerate(rows[idx]) if not F.is_zero(x)), None)
+        if c is not None:
+            pivot_on(c, rows[idx])
+    ordered = sorted(done[:weighted], key=lambda pr: pr[0])
+    ordered += sorted(done[weighted:], key=lambda pr: pr[0])
+    return OrthoBasis(
+        ambient=space,
+        vectors=tuple(Vector(space, tuple(r)) for _, r in ordered),
+        pivots=tuple(p for p, _ in ordered),
+    )
 
 
 def _fit_column(field: ValuedField, column, target: WeightedSpace, bound: Magnitude):
@@ -412,14 +474,13 @@ def case_ortho_certificate_sampled(rng: random.Random, samples: int = 25) -> Non
     sp = random_space(field, rng, max_dim=4, allow_null=True)
     gens = [random_vector(sp, rng) for _ in range(rng.randint(0, sp.dim + 1))]
     ob = orthogonalize(sp, gens)
-    rows = ob.vectors + ob.null_vectors
-    if not rows:
+    if not ob.vectors:
         return
     for _ in range(samples):
-        coeffs = [field.random_element(rng) for _ in rows]
+        coeffs = [field.random_element(rng) for _ in ob.vectors]
         combo = zero_vector(sp)
         expected = MAG_ZERO
-        for a, w in zip(coeffs, rows):
+        for a, w in zip(coeffs, ob.vectors):
             combo = add_vectors(combo, scale_vector(a, w))
             term = field.abs_value(a) * norm(w)
             if term > expected:

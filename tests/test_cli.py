@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from protex import cli, finvec, pointed_sets
 from protex.category import Budget, audit_axioms, audit_obscure
 from protex.cli import main
-from protex.errors import BudgetExceeded
+from protex.errors import BudgetExceeded, FuelExhausted, ParseError, ProtexError
 from protex.finvec import FinWeightedVec
 from protex.pointed_sets import FinPointedSet
 from protex.scalars import MAG_ONE, Magnitude, PrimeField
-from protex.serialize import parse_instance
+from protex.serialize import parse_instance, parse_space, parse_vector
+from proptools import reference_orthogonalize
 
 FINVEC_INSTANCE = {"kind": "finvec", "p": 2, "weights": ["g^0", "g^1"], "max_dim": 1}
 
@@ -146,6 +147,26 @@ class TestCompute:
         )
         assert code == 0
         assert json.loads(out)["result"]["space"]["weights"] == ["g^0"]
+
+    def test_orthogonalize_report_splits_off_the_null_rows(self, tmp_path, capsys):
+        space = {"field": {"padic": 3}, "weights": ["g^1", "0", "g^0", "g^-2"]}
+        sub = [["1", "2", "0", "3"], ["0", "1", "0", "0"], ["9", "0", "1/3", "1"]]
+        argv = ["compute", "orthogonalize", "--space", write(tmp_path, "space.json", space)]
+        argv += ["--sub", write(tmp_path, "sub.json", sub)]
+        code, out, _ = run_main([*argv, "--format", "json"], capsys)
+        assert code == 0
+        basis = json.loads(out)["result"]["basis"]
+        X = parse_space(space)
+        ref = reference_orthogonalize(X, [parse_vector(v, X) for v in sub])
+        # the reference lists the weighted rows, then the null rows
+        assert [X.weights[p].is_zero for p in ref.pivots] == [False, False, True]
+        rows = [[X.field.format_element(c) for c in v.coords] for v in ref.vectors]
+        assert (basis["vectors"], basis["null_vectors"]) == (rows[:2], rows[2:])
+        pivots = list(ref.pivots)
+        assert (basis["pivots"], basis["null_pivots"]) == (pivots[:2], pivots[2:])
+        assert basis["norms"] == [space["weights"][p] for p in ref.pivots[:2]]
+        code, out, _ = run_main(argv, capsys)
+        assert (code, out) == (0, "orthogonalize: rank 2, null rank 1\n")
 
 
 class TestAuditAndCounterexamples:
@@ -1069,6 +1090,23 @@ def test_malformed_compute_inputs_keep_the_exit_contract(tmp_path, capsys, opera
 def test_malformed_classify_inputs_keep_the_exit_contract(tmp_path, capsys, inputs, raw):
     files = {"map": inputs["map"] if raw is None else raw}
     _run_keeps_the_exit_contract(tmp_path, capsys, ["classify"], files, None)
+
+
+def _error_classes(cls=ProtexError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_hierarchy(monkeypatch, capsys, cls):
+    def handler(args):
+        raise cls("where", "boom") if issubclass(cls, ParseError) else cls("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "counterexamples", handler)
+    code, out, err = run_main(["counterexamples"], capsys)
+    assert code == (3 if issubclass(cls, (FuelExhausted, BudgetExceeded)) else 2)
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestDeterminism:

@@ -19,7 +19,7 @@ from protex import (
     quotient_norm,
     vector,
 )
-from proptools import add_vectors, scale_vector
+from proptools import add_vectors, reference_orthogonalize, scale_vector
 from protex.errors import InvariantViolation
 from protex.randgen import random_space, random_vector
 from protex.spaces import Vector, zero_vector
@@ -55,7 +55,7 @@ class TestOrthogonalize:
         v = vector(X, (Fraction(1), Fraction(2)))
         w = scale_vector(Fraction(3), v)
         ob = orthogonalize(X, [v, w])
-        assert len(ob.vectors) == 1 and not ob.null_vectors
+        assert len(ob.vectors) == 1 and norm(ob.vectors[0]) == E0
 
     def test_worked_f2_example(self):
         # brute-force oracle over all combinations confirms the basis and norms
@@ -80,7 +80,7 @@ class TestOrthogonalize:
     def test_empty_input(self):
         X = WeightedSpace(Q2, (E0,))
         ob = orthogonalize(X, [])
-        assert ob.vectors == () and ob.null_vectors == ()
+        assert ob.vectors == () and ob.pivots == ()
 
     def test_null_directions_split_off(self):
         X = WeightedSpace(Q2, (E0, MAG_ZERO, MAG_ZERO))
@@ -90,9 +90,7 @@ class TestOrthogonalize:
             vector(X, (Fraction(0), Fraction(0), Fraction(3))),
         ]
         ob = orthogonalize(X, gens)
-        assert len(ob.vectors) == 1 and len(ob.null_vectors) == 2
-        for nv in ob.null_vectors:
-            assert norm(nv) == MAG_ZERO
+        assert [norm(v) for v in ob.vectors] == [E0, MAG_ZERO, MAG_ZERO]
 
     def test_certificate_is_validated(self):
         X = WeightedSpace(Q2, (E0, E0))
@@ -102,9 +100,14 @@ class TestOrthogonalize:
                 ambient=X,
                 vectors=(vector(X, (Fraction(1), Fraction(1))),) + good.vectors,
                 pivots=(1,) + good.pivots,
-                null_vectors=(),
-                null_pivots=(),
             )
+
+    def test_null_rows_come_last(self):
+        X = WeightedSpace(Q2, (MAG_ZERO, E0))
+        null, weighted = basis_vector(X, 0), basis_vector(X, 1)
+        assert OrthoBasis(X, (weighted, null), (1, 0)).pivots == (1, 0)
+        with pytest.raises(InvariantViolation, match="weighted row 1 follows a null row"):
+            OrthoBasis(X, (null, weighted), (0, 1))
 
     @pytest.mark.parametrize("weight", [E0, MAG_ZERO], ids=["weighted", "null"])
     def test_pivot_entry_must_be_one(self, weight):
@@ -112,12 +115,11 @@ class TestOrthogonalize:
         X = WeightedSpace(PAdicRationals(3), (weight,))
         for entry, ok in ((Fraction(1), True), (Fraction(2), False)):
             row, pivot = (vector(X, (entry,)),), (0,)
-            parts = (row, pivot, (), ()) if weight == E0 else ((), (), row, pivot)
             if ok:
-                OrthoBasis(X, *parts)
+                OrthoBasis(X, row, pivot)
             else:
                 with pytest.raises(InvariantViolation, match="pivot 0 of row 0 is not one"):
-                    OrthoBasis(X, *parts)
+                    OrthoBasis(X, row, pivot)
 
     def test_orthogonality_certificate_random(self):
         rng = random.Random(21)
@@ -125,12 +127,11 @@ class TestOrthogonalize:
             sp = random_space(Q2, rng, 4, allow_null=True)
             gens = [random_vector(sp, rng) for _ in range(rng.randint(0, sp.dim + 1))]
             ob = orthogonalize(sp, gens)  # post-init validates the certificate
-            rows = ob.vectors + ob.null_vectors
             for _ in range(20):
-                coeffs = [Q2.random_element(rng) for _ in rows]
+                coeffs = [Q2.random_element(rng) for _ in ob.vectors]
                 combo = zero_vector(sp)
                 expected = MAG_ZERO
-                for a, w in zip(coeffs, rows):
+                for a, w in zip(coeffs, ob.vectors):
                     combo = add_vectors(combo, scale_vector(a, w))
                     expected = max(expected, Q2.abs_value(a) * norm(w))
                 assert norm(combo) == expected
@@ -142,80 +143,8 @@ class TestOrthogonalize:
             gens = [random_vector(sp, rng) for _ in range(rng.randint(0, 3))]
             ob = orthogonalize(sp, gens)
             oracle = f2_span_norms(sp, gens)
-            reproduced = f2_span_norms(sp, list(ob.vectors + ob.null_vectors))
+            reproduced = f2_span_norms(sp, list(ob.vectors))
             assert oracle == reproduced
-
-
-def two_phase_orthogonalize(space, generators):
-    """The former two-phase loop, kept as a reference for the shared pivot step.
-
-    Weighted pivots are chosen by the largest |entry| * weight; rows left on
-    weight-zero coordinates are then reduced by plain Gaussian elimination.
-    """
-    F = space.field
-    rows = [list(g.coords) for g in generators if not g.is_zero]
-    live = list(range(len(rows)))
-    processed = []
-
-    def reduce_row(row, pivot, prow):
-        factor = F.div(row[pivot], prow[pivot])
-        if not F.is_zero(factor):
-            for i in range(len(row)):
-                row[i] = F.sub(row[i], F.mul(factor, prow[i]))
-
-    while True:
-        best = None
-        for idx in live:
-            for c, entry in enumerate(rows[idx]):
-                if F.is_zero(entry):
-                    continue
-                mag = F.abs_value(entry) * space.weights[c]
-                if mag.is_zero:
-                    continue
-                key = (mag, -c, -idx)
-                if best is None or (key[0] > best[0][0]) or (
-                    key[0] == best[0][0] and key[1:] > best[0][1:]
-                ):
-                    best = (key, c, idx)
-        if best is None:
-            break
-        _, c, idx = best
-        row = rows[idx]
-        inv = F.div(F.one, row[c])
-        for i in range(len(row)):
-            row[i] = F.mul(inv, row[i])
-        live.remove(idx)
-        for _, prow in processed:
-            reduce_row(prow, c, row)
-        for other in live:
-            reduce_row(rows[other], c, row)
-        processed.append((c, row))
-
-    null_rows = []
-    for idx in live:
-        row = rows[idx]
-        pivot = next((c for c, entry in enumerate(row) if not F.is_zero(entry)), None)
-        if pivot is None:
-            continue
-        inv = F.div(F.one, row[pivot])
-        for i in range(len(row)):
-            row[i] = F.mul(inv, row[i])
-        for _, prow in processed + null_rows:
-            reduce_row(prow, pivot, row)
-        for other in live:
-            if rows[other] is not row:
-                reduce_row(rows[other], pivot, row)
-        null_rows.append((pivot, row))
-
-    processed.sort(key=lambda pr: pr[0])
-    null_rows.sort(key=lambda pr: pr[0])
-    return OrthoBasis(
-        ambient=space,
-        vectors=tuple(Vector(space, tuple(r)) for _, r in processed),
-        pivots=tuple(p for p, _ in processed),
-        null_vectors=tuple(Vector(space, tuple(r)) for _, r in null_rows),
-        null_pivots=tuple(p for p, _ in null_rows),
-    )
 
 
 class TestTwoPhaseReference:
@@ -234,8 +163,8 @@ class TestTwoPhaseReference:
                 gens.append(add_vectors(a, scale_vector(field.random_element(rng), b)))
                 gens.insert(rng.randint(0, len(gens)), zero_vector(sp))
             ob = orthogonalize(sp, gens)
-            assert ob == two_phase_orthogonalize(sp, gens)
-            null_bases += bool(ob.null_vectors)
+            assert ob == reference_orthogonalize(sp, gens)
+            null_bases += any(norm(v).is_zero for v in ob.vectors)
         assert null_bases >= 10
 
 

@@ -69,6 +69,42 @@ class TestFieldAndSpace:
             ser.parse_map(data)
         assert "matrix" in str(err.value) and "2 rows" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "parse, data, path, message",
+        [
+            (ser.parse_field, {"padic": 4}, "field.padic", "p-adic base must be prime, got 4"),
+            (
+                ser.parse_field,
+                {"trivial": "Fx"},
+                "field.trivial",
+                "invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                ser.parse_space,
+                {"field": {"padic": 2}, "weights": ["g^1/0"]},
+                "space.weights[0]",
+                "Fraction(1, 0)",
+            ),
+            (
+                lambda data: ser.parse_vector(data, WeightedSpace(PAdicRationals(3), (E0,))),
+                ["1/0"],
+                "vector[0]",
+                "Fraction(1, 0)",
+            ),
+            (
+                ser.parse_instance,
+                {"kind": "finvec", "p": 4, "weights": ["g^0"]},
+                "instance.p",
+                "field order must be prime, got 4",
+            ),
+        ],
+        ids=["padic-prime", "trivial-tag", "weight", "element", "instance-prime"],
+    )
+    def test_value_reader_errors_name_path_and_reason(self, parse, data, path, message):
+        with pytest.raises(ParseError) as err:
+            parse(data)
+        assert (err.value.path, err.value.message) == (path, message)
+
     def test_null_direction_violation_cites_index(self):
         data = {
             "domain": {"field": {"padic": 2}, "weights": ["0", "g^0"]},

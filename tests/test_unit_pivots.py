@@ -27,7 +27,7 @@ FIELDS = [PAdicRationals(2), PAdicRationals(3), TrivialRationals(), PrimeField(2
 def reference_residual(ob, m):
     F = ob.ambient.field
     coords = list(m.coords)
-    for v, p in zip(ob.vectors + ob.null_vectors, ob.pivots + ob.null_pivots):
+    for v, p in zip(ob.vectors, ob.pivots):
         factor = F.div(coords[p], v.coords[p])
         if F.is_zero(factor):
             continue
@@ -39,7 +39,7 @@ def reference_residual(ob, m):
 def reference_quotient(ob):
     """The quotient space and map: residuals of the coordinate vectors off the pivots."""
     Y = ob.ambient
-    used = set(ob.pivots) | set(ob.null_pivots)
+    used = set(ob.pivots)
     complement = [d for d in range(Y.dim) if d not in used]
     space = WeightedSpace(Y.field, tuple(Y.weights[d] for d in complement))
     residuals = [reference_residual(ob, basis_vector(Y, c)) for c in range(Y.dim)]
@@ -51,7 +51,7 @@ def reference_change(f):
     F, ob = f.domain.field, image(f)
     return [
         [F.div(x, v.coords[p]) for x in f.matrix[p]]
-        for v, p in zip(ob.vectors + ob.null_vectors, ob.pivots + ob.null_pivots)
+        for v, p in zip(ob.vectors, ob.pivots)
     ]
 
 
@@ -87,19 +87,19 @@ def assert_coverage(tally):
 class TestAgainstTheDividingCode:
     def test_quotient_of_a_span(self, F):
         rng = random.Random(f"quotient-{F}")
-        tally = {"empty": 0, "null": 0, "null_vectors": 0}
+        tally = {"empty": 0, "null": 0, "null_rows": 0}
         for _ in range(200):
             (Y,) = spaces(F, rng, 1, tally)
             gens = [random_vector(Y, rng) for _ in range(rng.randint(0, Y.dim + 1))]
             ob = orthogonalize(Y, gens)
-            tally["null_vectors"] += bool(ob.null_vectors)
+            tally["null_rows"] += any(Y.weights[p].is_zero for p in ob.pivots)
             space, proj = reference_quotient(ob)
             assert ob.quotient_space() == space
             assert ob.projection() == proj
             m = random_vector(Y, rng)
             assert list(ob.residual(m).coords) == reference_residual(ob, m)
         assert_coverage(tally)
-        assert tally["null_vectors"] >= 20
+        assert tally["null_rows"] >= 20
 
     def test_cokernel_and_change(self, F):
         rng = random.Random(f"cokernel-{F}")
