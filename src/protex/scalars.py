@@ -151,23 +151,43 @@ def parse_magnitude(text: str) -> Magnitude:
 # the exponent part of a decimal text, as ``Fraction`` reads it
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
+# a plain integer or ratio of ASCII digits, at most 600 on each side
+_PLAIN = re.compile(r"([-+]?[0-9]{1,600})(?:/([0-9]{1,600}))?")
+
 
 def _parse_rational(text: str) -> Fraction:
     """``Fraction(text)``, refusing a value too long to be written back as text.
 
-    ``Fraction`` builds ``10**|e|`` for an exponent part e.  Its mantissa has
-    at most ``limit`` digits (the interpreter's digit limit) on each side of
-    the point, so a non-zero value with ``|e| >= 2 * limit`` always has a
-    numerator or denominator too long to write back.  Such a text is refused
-    before the power is built; a zero mantissa reads as zero whatever e is.
+    A plain integer or ratio (``[-+]?digits`` or ``[-+]?digits/digits``) is
+    read as ``Fraction(int(num), int(den))`` with no write-back check.  It has
+    at most 600 digits on each side, fewer than 640, the lowest non-zero
+    digit limit the interpreter accepts (``sys.int_info``'s
+    ``str_digits_check_threshold``); reducing it to lowest terms only removes
+    digits, so ``int`` reads it and ``str`` writes it back under any limit.
+
+    Every other text goes through ``Fraction(text)``.  ``Fraction`` builds
+    ``10**|e|`` for an exponent part e.  Its mantissa has at most ``limit``
+    digits (the interpreter's digit limit) on each side of the point, so a
+    non-zero value with ``|e| >= 2 * limit`` always has a numerator or
+    denominator too long to write back.  Such a text is refused before the
+    power is built; a zero mantissa reads as zero whatever e is.
+
+    A zero denominator raises ``ZeroDivisionError("zero denominator")``.
     """
-    exp = _EXPONENT.search(text)
-    limit = sys.get_int_max_str_digits()
-    if exp and limit and abs(int(exp[1])) >= 2 * limit:
-        text = text[: exp.start()] + "e0"
-        if Fraction(text):
-            raise ValueError("number too long to write back as text")
-    q = Fraction(text)
+    plain = _PLAIN.fullmatch(text)
+    try:
+        if plain:
+            num, den = plain.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        exp = _EXPONENT.search(text)
+        limit = sys.get_int_max_str_digits()
+        if exp and limit and abs(int(exp[1])) >= 2 * limit:
+            text = text[: exp.start()] + "e0"
+            if Fraction(text):
+                raise ValueError("number too long to write back as text")
+        q = Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroDivisionError("zero denominator") from None
     try:
         str(q)
     except ValueError as exc:  # the interpreter's limit on int-to-str digits
@@ -454,7 +474,10 @@ class PrimeField(ValuedField):
         return [x % self.p for x in ints]
 
     def parse_element(self, text: str) -> int:
-        value = int(text.strip())
+        try:
+            value = int(text.strip())
+        except ValueError:
+            raise ValueError(f"not an element of F_{self.p}") from None
         if not 0 <= value < self.p:
             raise ValueError(f"element {value} out of range for F_{self.p}")
         return value

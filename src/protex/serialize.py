@@ -18,7 +18,6 @@ from .finvec import FinWeightedVec, WeightedModuleCategory
 from .ortho import OrthoBasis
 from .pointed_sets import FinPointedSet, PointedMap, PointedSet
 from .scalars import (
-    Magnitude,
     PAdicRationals,
     PrimeField,
     TrivialRationals,
@@ -35,6 +34,25 @@ def _read(path: str, read, value):
         return read(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(path, str(exc)) from exc
+
+
+def _read_list(path: str, read, texts: list, what: str) -> list:
+    """``read`` of each text in ``texts``, each a ``what`` string.
+
+    The path ``path[k]`` of an entry is formatted only for the first entry
+    that is not a string or that ``read`` refuses.
+    """
+    values = []
+    for text in texts:
+        if not isinstance(text, str):
+            raise ParseError(f"{path}[{len(values)}]", f"{what} must be a string")
+        try:
+            values.append(read(text))
+        except (ValueError, ZeroDivisionError):
+            # the reader refuses the same text again, now as a ParseError at its path
+            _read(f"{path}[{len(values)}]", read, text)
+            raise
+    return values
 
 
 def _need(data: dict, key: str, path: str):
@@ -73,15 +91,14 @@ def parse_field(data: Any, path: str = "field") -> ValuedField:
         if tag == "Q":
             return TrivialRationals()
         if isinstance(tag, str) and tag.startswith("F"):
-            return _read(f"{path}.trivial", lambda t: PrimeField(int(t)), tag[1:])
+            try:
+                p = int(tag[1:])
+            except ValueError:  # no number after the F: an unknown tag
+                pass
+            else:
+                return _read(f"{path}.trivial", PrimeField, p)
         raise ParseError(f"{path}.trivial", f"unknown trivially valued field {tag!r}")
     raise ParseError(path, "field must be 'padic' or 'trivial'")
-
-
-def parse_magnitude_str(text: Any, path: str) -> Magnitude:
-    if not isinstance(text, str):
-        raise ParseError(path, "magnitude must be a string")
-    return _read(path, parse_magnitude, text)
 
 
 def space_to_json(space: WeightedSpace) -> dict:
@@ -99,19 +116,11 @@ def parse_space(data: Any, path: str = "space") -> WeightedSpace:
     weights_raw = _need(data, "weights", path)
     if not isinstance(weights_raw, list):
         raise ParseError(f"{path}.weights", "expected a list of magnitude strings")
-    weights = tuple(
-        parse_magnitude_str(w, f"{path}.weights[{i}]") for i, w in enumerate(weights_raw)
-    )
+    weights = tuple(_read_list(f"{path}.weights", parse_magnitude, weights_raw, "magnitude"))
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError(f"{path}.label", "label must be a string")
     return WeightedSpace(field, weights, label)
-
-
-def parse_element(field: ValuedField, text: Any, path: str):
-    if not isinstance(text, str):
-        raise ParseError(path, "field element must be a string")
-    return _read(path, field.parse_element, text)
 
 
 def vector_to_json(v: Vector) -> list:
@@ -124,9 +133,7 @@ def parse_vector(data: Any, space: WeightedSpace, path: str = "vector") -> Vecto
         raise ParseError(path, "expected a list of field-element strings")
     if len(data) != space.dim:
         raise ParseError(path, f"expected {space.dim} coordinates, got {len(data)}")
-    coords = tuple(
-        parse_element(space.field, x, f"{path}[{i}]") for i, x in enumerate(data)
-    )
+    coords = tuple(_read_list(path, space.field.parse_element, data, "field element"))
     return Vector(space, coords)
 
 
@@ -149,6 +156,7 @@ def parse_map(data: Any, path: str = "map") -> BoundedMap:
         raise ParseError(
             f"{path}.matrix", f"expected {codomain.dim} rows, got {len(rows_raw)}"
         )
+    read = domain.field.parse_element
     rows = []
     for i, row in enumerate(rows_raw):
         if not isinstance(row, list):
@@ -158,12 +166,7 @@ def parse_map(data: Any, path: str = "map") -> BoundedMap:
                 f"{path}.matrix[{i}]",
                 f"expected {domain.dim} entries, got {len(row)}",
             )
-        rows.append(
-            [
-                parse_element(domain.field, x, f"{path}.matrix[{i}][{j}]")
-                for j, x in enumerate(row)
-            ]
-        )
+        rows.append(_read_list(f"{path}.matrix[{i}]", read, row, "field element"))
     return bounded_map(domain, codomain, rows)
 
 
@@ -199,10 +202,7 @@ def parse_instance(data: Any, path: str = "instance") -> CategoryInstance:
         weights_raw = _need(data, "weights", path)
         if not isinstance(weights_raw, list) or not weights_raw:
             raise ParseError(f"{path}.weights", "expected a non-empty list")
-        weights = tuple(
-            parse_magnitude_str(w, f"{path}.weights[{i}]")
-            for i, w in enumerate(weights_raw)
-        )
+        weights = tuple(_read_list(f"{path}.weights", parse_magnitude, weights_raw, "magnitude"))
         return FinWeightedVec(field, weights, _count(data.get("max_dim", 2), f"{path}.max_dim"))
     if kind == "pointed":
         return FinPointedSet(_count(data.get("max_size", 4), f"{path}.max_size"))

@@ -394,3 +394,72 @@ class TestExponentNotation:
         assert _parse_rational("0.00e100000000") == 0
         assert _parse_rational("-0e-100000000") == 0
 
+
+
+def _value_or_refusal(read, text):
+    """``read(text)``, or the type of the exception it refuses the text with."""
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _fraction_oracle(text):
+    """``Fraction(text)``, refusing also a value too long to write back as text."""
+    try:
+        q = Fraction(text)
+        str(q)
+        return q
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _digit_runs(draw, limit):
+    """Digits, leading zeros counted, of a length either side of 600 and of ``limit``;
+    sometimes with a ``_`` separator or a non-ASCII decimal digit put in."""
+    n = draw(st.sampled_from([1, 2, 3, 599, 600, 601, limit - 1, limit, limit + 1]))
+    zeros = draw(st.integers(0, 3))
+    core = draw(st.text("0123456789", min_size=1, max_size=6))
+    run = ("0" * zeros + core * n)[:n]
+    k = draw(st.integers(0, n))
+    return run[:k] + draw(st.sampled_from(["", "", "", "_", "__", "\u0663", "\uff17"])) + run[k:]
+
+
+@st.composite
+def _rational_texts(draw, limit):
+    spaces = st.sampled_from(["", "", " ", "\t", "\n", "\u00a0"])
+    num = draw(st.sampled_from(["", "", "-", "+"])) + draw(_digit_runs(limit))
+    form = draw(st.sampled_from(["integer", "ratio", "zero", "signed", "decimal"]))
+    if form == "ratio":
+        num += "/" + draw(_digit_runs(limit))
+    elif form == "zero":
+        num += "/" + "0" * draw(st.integers(1, 3))
+    elif form == "signed":
+        num += "/" + draw(st.sampled_from("-+")) + draw(_digit_runs(limit))
+    elif form == "decimal":
+        num += "." + draw(_digit_runs(limit))
+    return draw(spaces) + num + draw(spaces)
+
+
+class TestPlainRationals:
+    """Plain integers and ratios skip ``Fraction(text)``; the value or refusal is Fraction's."""
+
+    # the default digit limit, and the lowest non-zero one the interpreter accepts
+    @pytest.mark.parametrize("limit", [LIMIT, sys.int_info.str_digits_check_threshold])
+    @given(data=st.data())
+    def test_same_value_or_refusal_as_fraction(self, limit, data):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            text = data.draw(_rational_texts(limit), label="text")
+            expected = _fraction_oracle(text)
+            assert _value_or_refusal(_parse_rational, text) == expected
+            assert _value_or_refusal(PAdicRationals(3).parse_element, text) == expected
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("text", ["1/0", "-0/000", "7/0_0", "1/" + "0" * 700])
+    def test_zero_denominator_has_its_own_reason(self, text):
+        with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+            _parse_rational(text)

@@ -77,19 +77,25 @@ class TestFieldAndSpace:
                 ser.parse_field,
                 {"trivial": "Fx"},
                 "field.trivial",
-                "invalid literal for int() with base 10: 'x'",
+                "unknown trivially valued field 'Fx'",
             ),
             (
                 ser.parse_space,
                 {"field": {"padic": 2}, "weights": ["g^1/0"]},
                 "space.weights[0]",
-                "Fraction(1, 0)",
+                "zero denominator",
             ),
             (
                 lambda data: ser.parse_vector(data, WeightedSpace(PAdicRationals(3), (E0,))),
                 ["1/0"],
                 "vector[0]",
-                "Fraction(1, 0)",
+                "zero denominator",
+            ),
+            (
+                lambda data: ser.parse_vector(data, WeightedSpace(PrimeField(3), (E0,))),
+                ["x"],
+                "vector[0]",
+                "not an element of F_3",
             ),
             (
                 ser.parse_instance,
@@ -98,9 +104,98 @@ class TestFieldAndSpace:
                 "field order must be prime, got 4",
             ),
         ],
-        ids=["padic-prime", "trivial-tag", "weight", "element", "instance-prime"],
+        ids=["padic-prime", "trivial-tag", "weight", "element", "prime-element", "instance-prime"],
     )
     def test_value_reader_errors_name_path_and_reason(self, parse, data, path, message):
+        with pytest.raises(ParseError) as err:
+            parse(data)
+        assert (err.value.path, err.value.message) == (path, message)
+
+    @pytest.mark.parametrize(
+        "parse, data, path, message",
+        [
+            (
+                ser.parse_map,
+                {
+                    "domain": {"field": {"padic": 3}, "weights": ["g^0", "g^0", "g^0"]},
+                    "codomain": {"field": {"padic": 3}, "weights": ["g^0", "g^0"]},
+                    "matrix": [["1", "0", "2"], ["0", "1/3", "1/0"]],
+                },
+                "map.matrix[1][2]",
+                "zero denominator",
+            ),
+            (
+                ser.parse_space,
+                {"field": {"trivial": "Q"}, "weights": ["g^0", "0", "1", "g^1"]},
+                "space.weights[2]",
+                "magnitude must be '0' or 'g^<rational>', got '1'",
+            ),
+            (
+                lambda data: ser.parse_vector(data, WeightedSpace(PrimeField(5), (E0,) * 4)),
+                ["1", "4", "0", "5"],
+                "vector[3]",
+                "element 5 out of range for F_5",
+            ),
+            (
+                # two refused entries: the first in row-major order is named
+                ser.parse_map,
+                {
+                    "domain": {"field": {"padic": 2}, "weights": ["g^0", "g^0"]},
+                    "codomain": {"field": {"padic": 2}, "weights": ["g^0", "g^0"]},
+                    "matrix": [["1", "2"], ["1/0", "x"]],
+                },
+                "map.matrix[1][0]",
+                "zero denominator",
+            ),
+            (
+                ser.parse_space,
+                {"field": {"padic": 2}, "weights": ["g^0", "g^1/0", "g^y"]},
+                "space.weights[1]",
+                "zero denominator",
+            ),
+            (
+                ser.parse_map,
+                {
+                    "domain": {"field": {"trivial": "F2"}, "weights": ["g^0", "g^0"]},
+                    "codomain": {"field": {"trivial": "F2"}, "weights": ["g^0"]},
+                    "matrix": [["1", 1]],
+                },
+                "map.matrix[0][1]",
+                "field element must be a string",
+            ),
+            (
+                ser.parse_space,
+                {"field": {"padic": 2}, "weights": ["g^0", None]},
+                "space.weights[1]",
+                "magnitude must be a string",
+            ),
+            (
+                # a non-string after a refused entry: the refused entry is named
+                lambda data: ser.parse_vector(data, WeightedSpace(TrivialRationals(), (E0,) * 3)),
+                ["1", "2/0", 3],
+                "vector[1]",
+                "zero denominator",
+            ),
+            (
+                lambda data: ser.parse_vector(data, WeightedSpace(TrivialRationals(), (E0,) * 3)),
+                ["1", 2, "3/0"],
+                "vector[1]",
+                "field element must be a string",
+            ),
+        ],
+        ids=[
+            "matrix-entry",
+            "weight",
+            "vector-entry",
+            "first-of-two-in-matrix",
+            "first-of-two-weights",
+            "non-string-entry",
+            "non-string-weight",
+            "refused-before-non-string",
+            "non-string-before-refused",
+        ],
+    )
+    def test_list_reader_names_the_first_offending_entry(self, parse, data, path, message):
         with pytest.raises(ParseError) as err:
             parse(data)
         assert (err.value.path, err.value.message) == (path, message)
