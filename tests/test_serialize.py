@@ -103,17 +103,7 @@ class TestFieldAndSpace:
                 "instance.p",
                 "field order must be prime, got 4",
             ),
-        ],
-        ids=["padic-prime", "trivial-tag", "weight", "element", "prime-element", "instance-prime"],
-    )
-    def test_value_reader_errors_name_path_and_reason(self, parse, data, path, message):
-        with pytest.raises(ParseError) as err:
-            parse(data)
-        assert (err.value.path, err.value.message) == (path, message)
-
-    @pytest.mark.parametrize(
-        "parse, data, path, message",
-        [
+            # a refused entry after valid ones, or the first of two, is named by its own index
             (
                 ser.parse_map,
                 {
@@ -184,8 +174,14 @@ class TestFieldAndSpace:
             ),
         ],
         ids=[
-            "matrix-entry",
+            "padic-prime",
+            "trivial-tag",
             "weight",
+            "element",
+            "prime-element",
+            "instance-prime",
+            "matrix-entry",
+            "later-weight",
             "vector-entry",
             "first-of-two-in-matrix",
             "first-of-two-weights",
@@ -195,7 +191,7 @@ class TestFieldAndSpace:
             "non-string-before-refused",
         ],
     )
-    def test_list_reader_names_the_first_offending_entry(self, parse, data, path, message):
+    def test_value_reader_errors_name_path_and_reason(self, parse, data, path, message):
         with pytest.raises(ParseError) as err:
             parse(data)
         assert (err.value.path, err.value.message) == (path, message)
