@@ -355,11 +355,11 @@ class TestIsPrime:
 
 
 def _verdict(read, text):
-    """The text form of ``read(text)``, or the type of the exception that refuses it."""
+    """The text form of ``read(text)``, or None where it is refused."""
     try:
         return str(read(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        return type(exc)
+    except ValueError:
+        return None
 
 
 LIMIT = sys.get_int_max_str_digits()
@@ -393,6 +393,14 @@ class TestExponentNotation:
     def test_zero_mantissa_reads_as_zero_whatever_the_exponent(self):
         assert _parse_rational("0.00e100000000") == 0
         assert _parse_rational("-0e-100000000") == 0
+
+
+def _outcome(read, text):
+    """``_verdict``, with a zero denominator's ZeroDivisionError as an outcome of its own."""
+    try:
+        return _verdict(read, text)
+    except ZeroDivisionError:
+        return ZeroDivisionError
 
 
 @st.composite
@@ -435,9 +443,9 @@ class TestPlainRationals:
         try:
             text = data.draw(_rational_texts(limit), label="text")
             # Fraction's verdict refuses a value too long to write back, as the readers do
-            expected = _verdict(Fraction, text)
-            assert _verdict(_parse_rational, text) == expected
-            assert _verdict(PAdicRationals(3).parse_element, text) == expected
+            expected = _outcome(Fraction, text)
+            assert _outcome(_parse_rational, text) == expected
+            assert _outcome(PAdicRationals(3).parse_element, text) == expected
         finally:
             sys.set_int_max_str_digits(old)
 
