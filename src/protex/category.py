@@ -59,9 +59,12 @@ class CategoryInstance(ABC):
     ``pullback_leg_strictness(f, g)`` must equal ``strictness`` of the
     pullback's second leg p2, and ``pushout_leg_strictness(i, g)`` that of
     the pushout's second leg j2; the square audits read only these.  An
-    instance may decide them without building the square.  A subclass that
-    overrides ``strictness`` must override them too (the defaults here build
-    the square and read the leg through ``strictness``).
+    instance may decide them without building the square.  A subclass of an
+    instance that overrides ``strictness`` must override them too (the
+    defaults here build the square and read the leg through ``strictness``).
+
+    ``describe_object`` and ``describe_morphism`` give the JSON that reports
+    and witnesses print, and that orders lifting problems.
     """
 
     name: str = "category"
@@ -122,11 +125,11 @@ class CategoryInstance(ABC):
         raise SolverUnavailable(f"{self.name} cannot enumerate morphisms")
 
     # squares; results expose .mediate(leg1, leg2)
-    def pullback(self, f: Mor, g: Mor):
-        raise SolverUnavailable(f"{self.name} does not construct pullbacks")
+    @abstractmethod
+    def pullback(self, f: Mor, g: Mor): ...
 
-    def pushout(self, i: Mor, g: Mor):
-        raise SolverUnavailable(f"{self.name} does not construct pushouts")
+    @abstractmethod
+    def pushout(self, i: Mor, g: Mor): ...
 
     def pullback_leg_strictness(self, f: Mor, g: Mor) -> Strictness:
         """Strictness of the pullback square's leg p2, the pullback of f along g."""
@@ -140,9 +143,9 @@ class CategoryInstance(ABC):
         """Instance shortcut deciding RLP of f against g for all squares at once."""
         return False, False
 
+    @abstractmethod
     def strictness(self, f: Mor) -> Strictness:
-        """Instance classification; the default derives it from (co)kernels."""
-        return classify_strictness(self, f)
+        """Instance classification; it must agree with :func:`classify_strictness`."""
 
     def _memoized(self, table: str, key, compute: Callable):
         """compute(key), remembered in this instance's memo table ``table``.
@@ -160,11 +163,11 @@ class CategoryInstance(ABC):
             memo[key] = value = compute(key)
             return value
 
-    def describe_object(self, X: Obj) -> Any:
-        return repr(X)
+    @abstractmethod
+    def describe_object(self, X: Obj) -> Any: ...
 
-    def describe_morphism(self, f: Mor) -> Any:
-        return repr(f)
+    @abstractmethod
+    def describe_morphism(self, f: Mor) -> Any: ...
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +252,9 @@ class LiftingSearch:
     still listed where an unshared search lists it.
     """
 
-    def __init__(self, C: CategoryInstance, g: Mor, r: Mor, composites: Optional[dict] = None):
+    def __init__(self, C: CategoryInstance, g: Mor, r: Mor, composites: dict):
         self.C, self.g, self.r = C, g, r
-        self._composites = {} if composites is None else composites
+        self._composites = composites
         A = C.dom(g)
         tops = C.morphisms(A, C.dom(r))
         bottoms = C._memoized(

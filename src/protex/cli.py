@@ -260,8 +260,8 @@ def _load_generators(args, C) -> GeneratingSet:
         if not isinstance(raw, list):
             raise ParseError("generators", "expected a JSON list of morphisms")
         gens = [ser.parse_morphism(C, m, f"generators[{i}]") for i, m in enumerate(raw)]
-        return GeneratingSet.of(C, "user", gens)
-    return GeneratingSet.of(C, "all-admissible-monos", admissible_monos(C))
+        return GeneratingSet.of(C, gens)
+    return GeneratingSet.of(C, admissible_monos(C))
 
 
 def _cmd_factor(args):

@@ -27,18 +27,15 @@ fuel_default = 100
 class GeneratingSet:
     """Finite list of admissible monomorphisms closed to factor against."""
 
-    label: str
     generators: tuple[Mor, ...]
 
     @staticmethod
-    def of(C: CategoryInstance, label: str, generators) -> "GeneratingSet":
+    def of(C: CategoryInstance, generators) -> "GeneratingSet":
         gens = tuple(generators)
         for g in gens:
             if not C.strictness(g).strict_mono:
-                raise InvariantViolation(
-                    f"generating set {label!r} contains a non-admissible map"
-                )
-        return GeneratingSet(label, gens)
+                raise InvariantViolation("generating set contains a non-admissible map")
+        return GeneratingSet(gens)
 
 
 @dataclass(frozen=True)

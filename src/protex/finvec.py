@@ -139,7 +139,6 @@ class FinWeightedVec(WeightedModuleCategory):
 
     weights: tuple[Magnitude, ...] = ()
     max_dim: int = 2
-    hom_budget: int = 1_000_000
 
     def __post_init__(self):
         if not isinstance(self.field, PrimeField):
@@ -188,8 +187,8 @@ class FinWeightedVec(WeightedModuleCategory):
         # support of v, so a column of weight w is free exactly where y <= w
         p = self.field.p
         choices = [[range(p) if y <= w else (0,) for y in Y.weights] for w in X.weights]
-        if math.prod(len(c) for column in choices for c in column) > self.hom_budget:
-            raise BudgetExceeded(f"hom-set of more than {self.hom_budget} maps requested")
+        if math.prod(len(c) for column in choices for c in column) > ENUMERATION_CAP:
+            raise BudgetExceeded(f"hom-set of more than {ENUMERATION_CAP} maps requested")
         columns = (itertools.product(*column) for column in choices)
         return tuple(
             bounded_map(X, Y, [[col[i] for col in combo] for i in range(Y.dim)])

@@ -12,9 +12,7 @@ strict epi while its second factor is not (the right obscure axiom fails).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from .category import AuditEntry, AuditReport, CategoryInstance, Strictness, audit_obscure
@@ -299,17 +297,6 @@ class FinPointedSet(CategoryInstance):
 # ---------------------------------------------------------------------------
 
 
-def load_counterexample_fixtures() -> dict:
-    text = resources.files("protex").joinpath("fixtures/counterexamples.json").read_text()
-    return json.loads(text)
-
-
-def _map_from_fixture(data: dict) -> PointedMap:
-    return PointedMap(
-        PointedSet(data["dom"]), PointedSet(data["cod"]), tuple(data["images"])
-    )
-
-
 def counterexample_suite() -> AuditReport:
     """Replays the two pointed-set counterexamples and asserts the verdicts.
 
@@ -320,15 +307,13 @@ def counterexample_suite() -> AuditReport:
     right obscure axiom fails.  The left obscure axiom passes on the
     bounded instance.
     """
-    fixtures = load_counterexample_fixtures()
     C = FinPointedSet(max_size=4)
+    P0, P1, P2 = PointedSet(0), PointedSet(1), PointedSet(2)
     entries = []
 
-    case1 = fixtures["pullback_not_strict"]
-    f = _map_from_fixture(case1["f"])
-    g = _map_from_fixture(case1["g"])
-    square = C.pullback(f, g)
-    proj = square.p2
+    f = PointedMap(P2, P0, (0, 0, 0))
+    g = PointedMap(P1, P0, (0, 0))
+    proj = C.pullback(f, g).p2
     expected = (
         C.strictness(f).strict_epi
         and C.strictness(g).strict_epi
@@ -343,9 +328,8 @@ def counterexample_suite() -> AuditReport:
         )
     )
 
-    case2 = fixtures["right_obscure_failure"]
-    incl = _map_from_fixture(case2["f"])
-    collapse = _map_from_fixture(case2["g"])
+    incl = PointedMap(P1, P2, (0, 1))
+    collapse = PointedMap(P2, P1, (0, 1, 1))
     composite = C.compose(collapse, incl)
     expected = (
         composite == C.identity(incl.dom)

@@ -172,7 +172,8 @@ def _parse_rational(text: str) -> Fraction:
     denominator too long to write back.  Such a text is refused before the
     power is built; a zero mantissa reads as zero whatever e is.
 
-    A zero denominator raises ``ZeroDivisionError("zero denominator")``.
+    A zero denominator raises ``ZeroDivisionError("zero denominator")``, and
+    a text outside ``Fraction``'s grammar ``ValueError("not a rational number")``.
     """
     plain = _PLAIN.fullmatch(text)
     try:
@@ -188,6 +189,10 @@ def _parse_rational(text: str) -> Fraction:
         q = Fraction(text)
     except ZeroDivisionError:
         raise ZeroDivisionError("zero denominator") from None
+    except ValueError as exc:
+        if str(exc).startswith("Invalid literal for Fraction"):
+            raise ValueError("not a rational number") from None
+        raise  # a digit-limit refusal keeps its text
     try:
         str(q)
     except ValueError as exc:  # the interpreter's limit on int-to-str digits

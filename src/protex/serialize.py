@@ -102,13 +102,10 @@ def parse_field(data: Any, path: str = "field") -> ValuedField:
 
 
 def space_to_json(space: WeightedSpace) -> dict:
-    out = {
+    return {
         "field": field_to_json(space.field),
         "weights": [format_magnitude(w) for w in space.weights],
     }
-    if space.label:
-        out["label"] = space.label
-    return out
 
 
 def parse_space(data: Any, path: str = "space") -> WeightedSpace:
@@ -116,11 +113,9 @@ def parse_space(data: Any, path: str = "space") -> WeightedSpace:
     weights_raw = _need(data, "weights", path)
     if not isinstance(weights_raw, list):
         raise ParseError(f"{path}.weights", "expected a list of magnitude strings")
-    weights = tuple(_read_list(f"{path}.weights", parse_magnitude, weights_raw, "magnitude"))
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ParseError(f"{path}.label", "label must be a string")
-    return WeightedSpace(field, weights, label)
+    return WeightedSpace(
+        field, tuple(_read_list(f"{path}.weights", parse_magnitude, weights_raw, "magnitude"))
+    )
 
 
 def vector_to_json(v: Vector) -> list:
@@ -212,7 +207,7 @@ def parse_instance(data: Any, path: str = "instance") -> CategoryInstance:
 
 
 def morphism_to_json(C: CategoryInstance, f: Any) -> Any:
-    # a bounded map is written self-contained, with its field and labels
+    # a bounded map is written self-contained, with its field
     return map_to_json(f) if isinstance(f, BoundedMap) else C.describe_morphism(f)
 
 

@@ -8,7 +8,6 @@ semi-normed null direction.  Every construction below is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import linalg
 from .errors import InvariantViolation, NotComposable
@@ -19,15 +18,13 @@ from .scalars import MAG_ZERO, Magnitude, ValuedField, _magnitude
 class WeightedSpace:
     field: ValuedField
     weights: tuple[Magnitude, ...]
-    label: Optional[str] = None
 
     @property
     def dim(self) -> int:
         return len(self.weights)
 
     def __repr__(self) -> str:
-        tag = self.label or "space"
-        return f"{tag}(dim={self.dim})"
+        return f"space(dim={self.dim})"
 
 
 def rank_one(field: ValuedField, delta: Magnitude) -> WeightedSpace:
@@ -199,13 +196,13 @@ def rescale(space: WeightedSpace, delta: Magnitude) -> WeightedSpace:
     """Same module, every weight multiplied by a non-zero magnitude."""
     if delta.is_zero:
         raise InvariantViolation("rescaling factor must be non-zero")
-    return WeightedSpace(space.field, tuple(w * delta for w in space.weights), space.label)
+    return WeightedSpace(space.field, tuple(w * delta for w in space.weights))
 
 
 def separation(space: WeightedSpace) -> tuple[WeightedSpace, BoundedMap]:
     """Quotient by the null directions; returns the space and the projection."""
     keep = [i for i, w in enumerate(space.weights) if not w.is_zero]
-    sep = WeightedSpace(space.field, tuple(space.weights[i] for i in keep), space.label)
+    sep = WeightedSpace(space.field, tuple(space.weights[i] for i in keep))
     F = space.field
     rows = [[F.one if j == i else F.zero for j in range(space.dim)] for i in keep]
     return sep, bounded_map(space, sep, rows)

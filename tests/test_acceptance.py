@@ -267,7 +267,7 @@ def test_criterion_10_colimit_norm_formula():
 
 def test_criterion_11_factorization_engine():
     C = FinWeightedVec(F2, FULL_WEIGHTS, max_dim=2)
-    G = GeneratingSet.of(C, "all-admissible-monos", admissible_monos(C))
+    G = GeneratingSet.of(C, admissible_monos(C))
     failures = []
     for X in C.objects():
         res = special_preenvelope(C, X, G, fuel=100)

@@ -338,7 +338,7 @@ class TestRlp:
             assert (result.ok, result.squares_checked) == (True, len(monos))
             # the shortcut's verdict, by enumerating every square
             for g in monos:
-                search = LiftingSearch(C, g, f)
+                search = LiftingSearch(C, g, f, {})
                 assert all(search.lifts(u, v) for u, v in search.squares)
 
     def test_weighted_shortcut_decides_strict_mono_against_map_to_zero(self, monkeypatch):

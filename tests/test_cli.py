@@ -12,9 +12,10 @@ from protex.category import Budget, audit_axioms, audit_obscure
 from protex.cli import main
 from protex.errors import BudgetExceeded, FuelExhausted, ParseError, ProtexError
 from protex.finvec import FinWeightedVec
-from protex.pointed_sets import FinPointedSet
+from protex.pointed_sets import FinPointedSet, PointedSet
 from protex.scalars import MAG_ONE, Magnitude, PrimeField
 from protex.serialize import parse_instance, parse_space, parse_vector
+from protex.spaces import WeightedSpace
 from proptools import reference_orthogonalize
 
 FINVEC_INSTANCE = {"kind": "finvec", "p": 2, "weights": ["g^0", "g^1"], "max_dim": 1}
@@ -68,6 +69,9 @@ class TestClassify:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(["classify", "--map", "/nonexistent.json"], capsys)
         assert code == 2
+        code, out, err = run_main(["compute", "kernel"], capsys)
+        assert code == 2 and not out
+        assert err.strip() == "error: --map: required input file missing"
 
 
 class TestCompute:
@@ -132,21 +136,13 @@ class TestCompute:
             "codomain": space_json(["g^0"]),
             "matrix": [["1"]],
         }
-        code, out, _ = run_main(
-            [
-                "compute",
-                "pullback",
-                "--map",
-                write(tmp_path, "f.json", f),
-                "--map2",
-                write(tmp_path, "g.json", f),
-                "--format",
-                "json",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out)["result"]["space"]["weights"] == ["g^0"]
+        maps = ["--map", write(tmp_path, "f.json", f), "--map2", write(tmp_path, "g.json", f)]
+        for op, legs in (("pullback", {"p1", "p2"}), ("pushout", {"j1", "j2"})):
+            code, out, _ = run_main(["compute", op, *maps, "--format", "json"], capsys)
+            assert code == 0, op
+            result = json.loads(out)["result"]
+            assert result.keys() == {"space"} | legs
+            assert result["space"]["weights"] == ["g^0"]
 
     def test_orthogonalize_report_splits_off_the_null_rows(self, tmp_path, capsys):
         space = {"field": {"padic": 3}, "weights": ["g^1", "0", "g^0", "g^-2"]}
@@ -506,9 +502,43 @@ class TestUniverseBounds:
         with pytest.raises(BudgetExceeded, match="6 objects exceed the enumeration cap"):
             instance.objects()
 
-    def test_hom_budget_does_not_bound_the_universe(self):
-        C = FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2, hom_budget=2)
-        assert len(C.objects()) == 6
+    @pytest.mark.parametrize(
+        "module, instance, ends, message, allocators",
+        [
+            (
+                # End of the space with weights g^1, g^0: columns of 2 then 4 options
+                finvec,
+                lambda: FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1))),
+                (WeightedSpace(PrimeField(2), (Magnitude.of(1), MAG_ONE)),) * 2,
+                "hom-set of more than 7 maps requested",
+                [(finvec, "bounded_map"), (FinWeightedVec, "vectors")],
+            ),
+            (
+                pointed_sets,
+                # P(3) -> P(1): 2 choices for each of 3 points
+                lambda: FinPointedSet(max_size=3),
+                (PointedSet(3), PointedSet(1)),
+                "8 candidate maps exceed the enumeration cap",
+                [(pointed_sets, "PointedMap")],
+            ),
+        ],
+        ids=["finvec", "pointed_sets"],
+    )
+    def test_hom_set_at_the_cap_is_built(
+        self, monkeypatch, module, instance, ends, message, allocators
+    ):
+        # both hom-sets have 8 maps; fresh instances, since hom-sets are memoized
+        monkeypatch.setattr(module, "ENUMERATION_CAP", 8)
+        assert len(instance().morphisms(*ends)) == 8
+        monkeypatch.setattr(module, "ENUMERATION_CAP", 7)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the cap check")
+
+        for owner, name in allocators:
+            monkeypatch.setattr(owner, name, refuse)
+        with pytest.raises(BudgetExceeded, match=message):
+            instance().morphisms(*ends)
 
     @pytest.mark.parametrize("max_dim", ["5", "179", "1000000"])
     def test_oracle_check_past_the_subspace_cap_exits_3_at_once(self, max_dim):

@@ -29,7 +29,7 @@ def finvec_instance(max_dim=2):
 
 
 def all_mono_generators(C):
-    return GeneratingSet.of(C, "all-admissible-monos", admissible_monos(C))
+    return GeneratingSet.of(C, admissible_monos(C))
 
 
 class TestGeneratingSet:
@@ -38,7 +38,7 @@ class TestGeneratingSet:
         X = WeightedSpace(F2, (E0,))
         bad = C.zero_morphism(X, X)
         with pytest.raises(InvariantViolation):
-            GeneratingSet.of(C, "bad", [bad])
+            GeneratingSet.of(C, [bad])
 
 
 class TestFactorMap:
@@ -180,7 +180,7 @@ class TestPointedSetFactorization:
     def test_precover_builds_cells(self):
         C = FinPointedSet(max_size=2)
         gens = [PointedMap(PointedSet(0), PointedSet(1), (0,))]
-        G = GeneratingSet.of(C, "point-cell", gens)
+        G = GeneratingSet.of(C, gens)
         X = PointedSet(2)
         res = precover(C, X, G, fuel=50)
         assert res.hom_surjective

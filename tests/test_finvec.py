@@ -20,7 +20,7 @@ from protex import (
     rank_one,
     vector,
 )
-from protex.errors import BudgetExceeded, InvariantViolation
+from protex.errors import InvariantViolation
 from protex.scalars import PAdicRationals
 
 F2 = PrimeField(2)
@@ -64,29 +64,6 @@ class TestEnumeration:
                 assert len(set(maps)) == len(maps)
                 for f in maps:
                     assert operator_norm(f) <= MAG_ONE
-
-    def test_budget(self):
-        C = FinWeightedVec(F2, (E0,), max_dim=2, hom_budget=3)
-        X = WeightedSpace(F2, (E0, E0))
-        with pytest.raises(BudgetExceeded):
-            C.morphisms(X, X)
-
-    def test_budget_is_exact(self):
-        X = WeightedSpace(F2, (E1, E0))
-        assert len(FinWeightedVec(F2, (E0, E1), hom_budget=8).morphisms(X, X)) == 8
-        with pytest.raises(BudgetExceeded, match="hom-set of more than 7 maps requested"):
-            FinWeightedVec(F2, (E0, E1), hom_budget=7).morphisms(X, X)
-
-    def test_budget_checked_before_enumerating(self, monkeypatch):
-        def no_universe(self, space):
-            raise AssertionError("vectors built before the budget check")
-
-        monkeypatch.setattr(FinWeightedVec, "vectors", no_universe)
-        F = PrimeField(1_000_003)
-        C = FinWeightedVec(F, (E0,), max_dim=2, hom_budget=10)
-        X, Y = WeightedSpace(F, (E0,)), WeightedSpace(F, (E0, E0))
-        with pytest.raises(BudgetExceeded, match="hom-set of more than 10 maps requested"):
-            C.morphisms(X, Y)
 
     def test_caches_are_per_instance(self):
         first = FinWeightedVec(F2, (E0, E1), max_dim=2)

@@ -26,7 +26,7 @@ WEIGHTS = (MAG_ZERO, E0, Magnitude.of(Fraction(1, 2)), E1)
 
 def _precover_of_g0_g1():
     C = FinWeightedVec(PrimeField(2), (E0, E1), max_dim=2)
-    G = GeneratingSet.of(C, "all-admissible-monos", admissible_monos(C))
+    G = GeneratingSet.of(C, admissible_monos(C))
     return precover(C, WeightedSpace(C.field, (E0, E1)), G)
 
 

@@ -85,7 +85,7 @@ INSTANCES = {
 @pytest.fixture(scope="module", params=sorted(INSTANCES))
 def universe(request):
     C = INSTANCES[request.param]
-    return C, GeneratingSet.of(C, "all-admissible-monos", admissible_monos(C))
+    return C, GeneratingSet.of(C, admissible_monos(C))
 
 
 def maps_to_factor(C):
@@ -124,7 +124,7 @@ def test_factor_map_matches_reference(universe, monkeypatch):
 
 def test_empty_generating_set_never_exceeds_budget(universe):
     C, _ = universe
-    G = GeneratingSet.of(C, "empty", [])
+    G = GeneratingSet.of(C, [])
     f = C.identity(C.zero_object())
     assert fz.factor_map(C, f, G, budget=-1).problems_checked == 0
 
@@ -161,7 +161,7 @@ def test_shared_composites_match_reference_on_reordered_generators(universe, mon
     v o g bucket are then read by more than one search of a round."""
     C, G = universe
     gens = G.generators[::-1]
-    H = GeneratingSet.of(C, "reversed, one twice", (*gens, gens[len(gens) // 2]))
+    H = GeneratingSet.of(C, (*gens, gens[len(gens) // 2]))
     for f in maps_to_factor(C):
         used_ref, used = Budget(None, "lifting"), Budget(None, "lifting")
         assert fz._first_problem(C, f, H, used) == reference_first_problem(C, f, H, used_ref)
@@ -184,7 +184,7 @@ def test_no_composite_is_computed_twice(monkeypatch):
     the precover of X keeps Y = X, so v o g is a pair (v, g) with cod v = X.
     """
     C = FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2)
-    G = GeneratingSet.of(C, "all-admissible-monos", admissible_monos(C))
+    G = GeneratingSet.of(C, admissible_monos(C))
     X = WeightedSpace(C.field, (MAG_ONE, MAG_ONE))
     rounds, current = [], []
     first_problem, compose = fz._first_problem, FinWeightedVec.compose

@@ -12,6 +12,7 @@ on ``is_mono``/``is_epi``, which are checked here against their definition.
 import pytest
 
 from protex import FinPointedSet, FinWeightedVec, WeightedSpace
+from protex import finvec as finvec_module
 from protex.category import (
     AuditEntry,
     Budget,
@@ -70,8 +71,8 @@ def audit_right(C, objs, counter):
 SIDES = [(audit_left, reference_left), (audit_right, reference_right)]
 
 
-def finvec(**kw):
-    return FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2, **kw)
+def finvec():
+    return FinWeightedVec(PrimeField(2), (MAG_ONE, Magnitude.of(1)), max_dim=2)
 
 
 INSTANCES = {
@@ -149,28 +150,29 @@ def test_failing_pairs_past_the_skip_are_found(audit, reference):
     assert counter.used == ref_counter.used
 
 
-def outcome(audit, C, budget):
+def outcome(audit, C, objs, budget):
     try:
-        objs = C.objects()
         counter = Budget(budget, "audit")
         return audit(C, objs, counter), counter.used
     except BudgetExceeded as exc:
         return "raised", str(exc)
 
 
-# (hom_budget, budget): at (2, 32) and (4, 350) the audit budget runs out while
+# (cap, budget): at (2, 32) and (4, 350) the audit budget runs out while
 # a skipped factor is charged, before a later hom-set of it hits the cap
 @pytest.mark.parametrize(
-    "hom_budget, budget",
+    "cap, budget",
     [(2, 32), (4, None), (4, 0), (4, 200), (4, 350), (4, 1000), (16, None), (16, 200)],
 )
 @pytest.mark.parametrize("audit, reference", SIDES)
-def test_hom_cap_and_budget_fire_in_reference_order(audit, reference, hom_budget, budget):
+def test_hom_cap_and_budget_fire_in_reference_order(monkeypatch, audit, reference, cap, budget):
     # each side gets fresh instances, so the hom-set cap fires on first enumeration;
-    # the 6 objects are listed whatever the hom-set cap, so both sides reach the audit
-    assert len(finvec(hom_budget=hom_budget).objects()) == 6
-    expected = outcome(reference, finvec(hom_budget=hom_budget), budget)
-    assert outcome(audit, finvec(hom_budget=hom_budget), budget) == expected
+    # the 6 objects are listed before the cap is lowered, since it bounds them too
+    objs = finvec().objects()
+    assert len(objs) == 6
+    monkeypatch.setattr(finvec_module, "ENUMERATION_CAP", cap)
+    expected = outcome(reference, finvec(), objs, budget)
+    assert outcome(audit, finvec(), objs, budget) == expected
 
 
 def test_is_mono_and_is_epi_match_their_definition(instance):

@@ -103,6 +103,22 @@ class TestFieldAndSpace:
                 "instance.p",
                 "field order must be prime, got 4",
             ),
+            (
+                ser.parse_map,
+                {
+                    "domain": {"field": {"padic": 2}, "weights": ["g^0"]},
+                    "codomain": {"field": {"padic": 2}, "weights": ["g^0"]},
+                    "matrix": [["x"]],
+                },
+                "map.matrix[0][0]",
+                "not a rational number",
+            ),
+            (
+                ser.parse_space,
+                {"field": {"padic": 2}, "weights": ["g^x"]},
+                "space.weights[0]",
+                "not a rational number",
+            ),
             # a refused entry after valid ones, or the first of two, is named by its own index
             (
                 ser.parse_map,
@@ -180,6 +196,8 @@ class TestFieldAndSpace:
             "element",
             "prime-element",
             "instance-prime",
+            "not-a-rational-entry",
+            "not-a-rational-exponent",
             "matrix-entry",
             "later-weight",
             "vector-entry",
@@ -229,7 +247,7 @@ class TestInstances:
 class TestCertificates:
     def test_round_trip_and_replay(self):
         C = FinWeightedVec(PrimeField(2), (E0, E1), max_dim=1)
-        G = GeneratingSet.of(C, "all", admissible_monos(C))
+        G = GeneratingSet.of(C, admissible_monos(C))
         X = WeightedSpace(PrimeField(2), (E1,))
         cert = factor_map(C, C.zero_morphism(C.zero_object(), X), G, fuel=30)
         data = ser.certificate_to_json(C, cert)
