@@ -12,6 +12,7 @@ witnesses.
 
 from __future__ import annotations
 
+import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
@@ -138,10 +139,6 @@ class CategoryInstance(ABC):
     def pushout_leg_strictness(self, i: Mor, g: Mor) -> Strictness:
         """Strictness of the pushout square's leg j2, the pushout of i along g."""
         return self.strictness(self.pushout(i, g).j2)
-
-    def solve_rlp(self, f: Mor, g: Mor) -> tuple[bool, bool]:
-        """Instance shortcut deciding RLP of f against g for all squares at once."""
-        return False, False
 
     @abstractmethod
     def strictness(self, f: Mor) -> Strictness:
@@ -290,6 +287,33 @@ def _bucket_by_precomposite(C: CategoryInstance, g: Mor, Y: Obj) -> dict:
     return bottoms
 
 
+def _serialize_for_order(C: CategoryInstance, f: Mor) -> str:
+    return json.dumps(C.describe_morphism(f), sort_keys=True)
+
+
+def _first_problem(C: CategoryInstance, r: Mor, generators: tuple, budget: Budget):
+    """First unfilled lifting problem (index, top, bottom) against the generators, or None.
+
+    Problems are ordered by (generator index, serialized top leg,
+    serialized bottom leg).  Every commuting square of every generator is
+    charged to the budget, but lifts are tested only up to the first
+    generator with an unfilled square, because the generator index leads
+    the order.
+    """
+    first = None
+    composites: dict = {}  # this round's r o x, shared by every generator's search
+    for a, g in enumerate(generators):
+        search = LiftingSearch(C, g, r, composites)
+        budget.tick(len(search.squares))
+        if first is not None:
+            continue
+        unfilled = [(u, v) for u, v in search.squares if not search.lifts(u, v)]
+        if unfilled:
+            u, v = min(unfilled, key=lambda s: [_serialize_for_order(C, m) for m in s])
+            first = a, u, v
+    return first
+
+
 def has_rlp(
     C: CategoryInstance,
     f: Mor,
@@ -298,28 +322,19 @@ def has_rlp(
 ) -> RlpResult:
     """True iff every commutative square from `against` to f has a diagonal filler.
 
-    Squares are enumerated exhaustively (the instance must be enumerable
-    unless its lift solver decides every problem); on failure the first
-    unfillable square is returned as a witness.  Each square, and each
-    generator the solver decides, is one unit of ``budget``.
+    Squares are enumerated exhaustively, so the instance must be
+    enumerable unless ``against`` is empty.  On failure the witness is the
+    first unfilled problem in ``factor_map``'s order, the one it would
+    attach next.  Every square of every map in ``against`` is one unit of
+    ``budget``.
     """
+    generators = tuple(against)
     counter = Budget(budget, "lifting")
-    entry = _scan("rlp", counter, _rlp_cases(C, f, against))
-    return RlpResult(entry.verdict == "pass", entry.witness, counter.used)
-
-
-def _rlp_cases(C, f: Mor, against: Iterable[Mor]):
-    composites: dict = {}  # shared by the searches of this run: f stays fixed
-    for g in against:
-        decided, ok = C.solve_rlp(f, g)
-        if decided:
-            yield 1, None if ok else {"generator": C.describe_morphism(g)}
-            continue
-        search = LiftingSearch(C, g, f, composites)
-        for u, v in search.squares:
-            yield 1, None  # charged before lifts enumerates the fillers
-            if not search.lifts(u, v):
-                yield 0, _witness(C, generator=g, top=u, bottom=v)
+    problem = _first_problem(C, f, generators, counter)
+    if problem is None:
+        return RlpResult(True, None, counter.used)
+    a, u, v = problem
+    return RlpResult(False, _witness(C, generator=generators[a], top=u, bottom=v), counter.used)
 
 
 def admissible_monos(C: CategoryInstance) -> list[Mor]:

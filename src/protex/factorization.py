@@ -13,11 +13,10 @@ hom-surjectivity from the generator cokernels within the instance bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .category import Budget, CategoryInstance, LiftingSearch, Mor, Obj
+from .category import Budget, CategoryInstance, Mor, Obj, _first_problem
 from .errors import FuelExhausted, InvariantViolation
 
 fuel_default = 100
@@ -32,9 +31,9 @@ class GeneratingSet:
     @staticmethod
     def of(C: CategoryInstance, generators) -> "GeneratingSet":
         gens = tuple(generators)
-        for g in gens:
+        for k, g in enumerate(gens):
             if not C.strictness(g).strict_mono:
-                raise InvariantViolation("generating set contains a non-admissible map")
+                raise InvariantViolation(f"generators[{k}]: not an admissible monomorphism")
         return GeneratingSet(gens)
 
 
@@ -73,31 +72,6 @@ class FactorizationCertificate:
         return C.compose(self.right, self.left) == self.factored
 
 
-def _serialize_for_order(C: CategoryInstance, f: Mor) -> str:
-    return json.dumps(C.describe_morphism(f), sort_keys=True)
-
-
-def _first_problem(C: CategoryInstance, r: Mor, G: GeneratingSet, budget: Budget):
-    """First unfilled lifting problem against the generators, or None.
-
-    Every commuting square of every generator is charged to the budget,
-    but lifts are tested only up to the first generator with an unfilled
-    square, because the generator index leads the problem order.
-    """
-    first = None
-    composites: dict = {}  # this round's r o x, shared by every generator's search
-    for a, g in enumerate(G.generators):
-        search = LiftingSearch(C, g, r, composites)
-        budget.tick(len(search.squares))
-        if first is not None:
-            continue
-        unfilled = [(u, v) for u, v in search.squares if not search.lifts(u, v)]
-        if unfilled:
-            u, v = min(unfilled, key=lambda s: [_serialize_for_order(C, m) for m in s])
-            first = a, u, v
-    return first
-
-
 def factor_map(
     C: CategoryInstance,
     f: Mor,
@@ -117,7 +91,7 @@ def factor_map(
     steps: list[FactorizationStep] = []
     counter = Budget(budget, "lifting")
     while True:
-        problem = _first_problem(C, right, G, counter)
+        problem = _first_problem(C, right, G.generators, counter)
         if problem is None:
             return FactorizationCertificate(f, left, right, tuple(steps), True, counter.used)
         if len(steps) >= fuel:

@@ -2,19 +2,19 @@
 
 ``WeightedModuleCategory`` adapts the exact linear algebra to the
 abstract contract (kernels, cokernels, solvers, squares).  Each distinct
-map is analysed once per instance: mono, epi, both strict flags, the leg
-read-offs and the lift solver's retraction read that one analysis; only
-``is_iso``, the generic classifier's test, stays apart from it.  The
-square audits read one leg per square without building it: the pullback
-p2 of an epi f off the quotient norm of f, the pushout j2 of a mono i
-off the image norm of i; only a non-epi f or a non-mono i gets its
-square built.  ``FinWeightedVec`` restricts to a finite universe over a
-prime field with a fixed weight set and dimension bound, where every
-hom-set is finite: morphism enumeration frees each column entry only
-where the codomain weight is at most the domain weight, so the
-non-expanding and null-direction constraints are enforced by
-construction.  It also carries the brute-force quotient-norm oracle used
-against the algorithmic one.
+map is analysed once per instance: mono, epi, both strict flags and the
+leg read-offs read that one analysis; only ``is_iso``, the generic
+classifier's test, stays apart from it.  The square audits read one leg
+per square without building it: the pullback p2 of an epi f off the
+quotient norm of f, the pushout j2 of a mono i off the image norm of i;
+only a non-epi f or a non-mono i gets its square built.
+``FinWeightedVec`` restricts to a finite universe over a prime field
+with a fixed weight set and dimension bound, where every hom-set is
+finite: morphism enumeration frees each column entry only where the
+codomain weight is at most the domain weight, so the non-expanding and
+null-direction constraints are enforced by construction.  It also
+carries the brute-force quotient-norm oracle used against the
+algorithmic one.
 """
 
 from __future__ import annotations
@@ -110,12 +110,6 @@ class WeightedModuleCategory(CategoryInstance):
         if not self.is_mono(i):
             return super().pushout_leg_strictness(i, g)
         return Strictness(*self._analysis(i).pushout_leg_flags(g))
-
-    def solve_rlp(self, f, g):
-        # strict monos split here, so the retraction fills every square over 0
-        if f.codomain.dim == 0 and self.strictness(g).strict_mono:
-            return True, self._analysis(g).retraction is not None
-        return False, False
 
     def describe_object(self, X: WeightedSpace) -> dict:
         return {"weights": [format_magnitude(w) for w in X.weights]}

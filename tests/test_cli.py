@@ -8,14 +8,15 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from protex import cli, finvec, pointed_sets
-from protex.category import Budget, audit_axioms, audit_obscure
+from protex.category import Budget, Strictness, audit_axioms, audit_obscure
 from protex.cli import main
 from protex.errors import BudgetExceeded, FuelExhausted, ParseError, ProtexError
 from protex.finvec import FinWeightedVec
 from protex.pointed_sets import FinPointedSet, PointedSet
 from protex.scalars import MAG_ONE, Magnitude, PrimeField
 from protex.serialize import parse_instance, parse_space, parse_vector
-from protex.spaces import WeightedSpace
+from protex.ortho import orthogonalize
+from protex.spaces import WeightedSpace, norm
 from proptools import reference_orthogonalize
 
 FINVEC_INSTANCE = {"kind": "finvec", "p": 2, "weights": ["g^0", "g^1"], "max_dim": 1}
@@ -294,6 +295,20 @@ class TestFactor:
         assert code == 0
         assert "replay: pass" in out
 
+    def test_attach_off_the_generator_domain_fails_replay(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 3})
+        f = write(tmp_path, "f.json", {"dom": 1, "cod": 2, "images": [0, 1]})
+        argv = ["factor", "--mode", "map", "--instance", inst, "--map", f, "--format", "json"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        cert = json.loads(out)["result"]["certificate"]
+        assert len(cert["steps"]) == 1
+        cert["steps"][0]["attach"] = {"dom": 1, "cod": 2, "images": [0, 2]}
+        cert_path = write(tmp_path, "cert.json", cert)
+        argv = ["verify-cert", "--instance", inst, "--cert", cert_path, "--format", "json"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert '"replayed": false' in out
 
     def test_budget_bounds_the_lifting_squares(self, tmp_path, capsys):
         # the precover-sweep instance; n is every commuting square of every step
@@ -803,6 +818,16 @@ class TestExitContract:
         assert code == 2
         assert "generators[0].images[1]: expected a non-negative integer" in err
 
+    def test_non_admissible_generator_is_named(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})
+        # a strict mono, then a collapse that is no mono
+        raw = [{"dom": 1, "cod": 2, "images": [0, 1]}, {"dom": 2, "cod": 1, "images": [0, 1, 1]}]
+        gens = write(tmp_path, "gens.json", raw)
+        argv = ["factor", "--instance", inst, "--object", write(tmp_path, "x.json", {"size": 1})]
+        code, out, err = run_main([*argv, "--generators", gens], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: generators[1]: not an admissible monomorphism\n"
+
     def test_non_integer_certificate_size_exits_2(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", {"kind": "pointed", "max_size": 2})
         leg = {"dom": 0, "cod": 1, "images": [0]}
@@ -1137,6 +1162,40 @@ def test_exit_code_follows_the_error_hierarchy(monkeypatch, capsys, cls):
     code, out, err = run_main(["counterexamples"], capsys)
     assert code == (3 if issubclass(cls, (FuelExhausted, BudgetExceeded)) else 2)
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "check, target, broken",
+    [
+        (
+            "quotient_norm_vs_coset_minimum",
+            (FinWeightedVec, "brute_quotient_norm"),
+            lambda self, gens, m: norm(m),  # the subspace is ignored
+        ),
+        (
+            "quotient_norm_order_reversal",
+            (cli, "orthogonalize"),
+            lambda space, gens: orthogonalize(space, gens[:1]),  # only the first generator
+        ),
+        (
+            "pointed_strictness_closed_form",
+            (cli, "classify_strictness"),
+            lambda C, f: Strictness(False, False),
+        ),
+        ("rescaling_adjunction", (cli, "rescale"), lambda M, delta: M),  # no rescaling
+    ],
+)
+def test_oracle_check_counts_each_mismatch(monkeypatch, capsys, check, target, broken):
+    monkeypatch.setattr(*target, broken)
+    # max_dim 1: every subspace has at most one generator, so only the broken check mismatches
+    argv = ["oracle-check", "--max-dim", "1", "--trials", "50", "--format", "json"]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["passed"] is False
+    mismatches = {c["check"]: c["mismatches"] for c in result["checks"]}
+    assert mismatches.pop(check) > 0
+    assert set(mismatches.values()) == {0}
 
 
 class TestDeterminism:

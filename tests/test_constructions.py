@@ -161,17 +161,23 @@ class TestClassify:
 
     def test_retraction_and_section_roundtrip(self):
         rng = random.Random(17)
+        maps = []
         for _ in range(150):
             X = random_space(Q2, rng, 3, allow_null=True)
             Y = random_space(Q2, rng, 3, allow_null=True)
-            f = random_nonexpanding_map(X, Y, rng)
+            maps.append(random_nonexpanding_map(X, Y, rng))
+        # strict monos split: each has a retraction, of norm at most one
+        rng = random.Random(5)
+        monos = [random_strict_mono(Q2, rng, max_dim=3, allow_null=True) for _ in range(20)]
+        assert all(retraction(g) is not None for g in monos)
+        for f in maps + monos:
             r = retraction(f)
             if r is not None:
-                assert compose(r, f) == identity_map(X)
+                assert compose(r, f) == identity_map(f.domain)
                 assert operator_norm(r) <= MAG_ONE
             s = section(f)
             if s is not None:
-                assert compose(f, s) == identity_map(Y)
+                assert compose(f, s) == identity_map(f.codomain)
                 assert operator_norm(s) <= MAG_ONE
 
     def test_split_agrees_with_exhaustive_search_f2(self):

@@ -18,6 +18,7 @@ from protex import (
 )
 from protex.category import admissible_monos, is_injective_object
 from protex.errors import FuelExhausted, InvariantViolation
+from protex.factorization import FactorizationCertificate
 from protex.pointed_sets import PointedMap, PointedSet
 
 F2 = PrimeField(2)
@@ -37,8 +38,10 @@ class TestGeneratingSet:
         C = finvec_instance()
         X = WeightedSpace(F2, (E0,))
         bad = C.zero_morphism(X, X)
-        with pytest.raises(InvariantViolation):
-            GeneratingSet.of(C, [bad])
+        # the error names the first refused index
+        message = r"^generators\[1\]: not an admissible monomorphism$"
+        with pytest.raises(InvariantViolation, match=message):
+            GeneratingSet.of(C, [C.identity(X), bad, bad])
 
 
 class TestFactorMap:
@@ -139,6 +142,18 @@ class TestPrecover:
         assert res.certificate.rlp_verified
         # the cover is onto in particular
         assert classify_morphism(res.cover).epi
+
+    def test_cover_through_zero_is_not_hom_surjective(self, monkeypatch):
+        # a step-free certificate whose cover is 0 -> X: only zero maps factor through it
+        C = finvec_instance(max_dim=1)
+        G = all_mono_generators(C)
+        X = WeightedSpace(F2, (E0,))
+        cover = C.zero_morphism(C.zero_object(), X)
+        cert = FactorizationCertificate(cover, C.identity(C.zero_object()), cover, (), True, 0)
+        monkeypatch.setattr(factorization, "factor_map", lambda *args: cert)
+        res = precover(C, X, G)
+        assert res.cover == cover
+        assert res.hom_surjective is False
 
     def test_hom_surjectivity_composes_each_pair_once(self, monkeypatch):
         # the precover-sweep instance: its 31 generators have 6 distinct cokernels

@@ -2,9 +2,11 @@
 
 The reference functions below scan every (top, bottom) pair of every
 generator, compare ``r o u`` with ``v o g`` and look for a filler by
-trying each ``d`` in turn.  ``factor_map`` and ``has_rlp`` must agree with
-them on the first problem, the square counts, the witnesses and the
-budget at which ``BudgetExceeded`` fires.
+trying each ``d`` in turn.  ``factor_map`` and ``has_rlp`` both read the
+one search ``_first_problem``; they must agree with the references on the
+first problem, the square counts, the witnesses and the budget at which
+``BudgetExceeded`` fires.  A failing ``has_rlp`` names the problem that
+``factor_map`` attaches first.
 """
 
 import json
@@ -14,8 +16,8 @@ import pytest
 
 from protex import factorization as fz
 from protex import FinPointedSet, FinWeightedVec, GeneratingSet, has_rlp
-from protex.category import Budget, RlpResult, admissible_monos
-from protex.errors import BudgetExceeded
+from protex.category import Budget, RlpResult, _first_problem, admissible_monos
+from protex.errors import BudgetExceeded, FuelExhausted
 from protex.scalars import MAG_ONE, Magnitude, PrimeField
 from protex.spaces import WeightedSpace
 
@@ -27,10 +29,10 @@ def reference_lift(C, g, u, r, v):
     return False
 
 
-def reference_first_problem(C, r, G, budget):
+def reference_first_problem(C, r, generators, budget):
     W, Y = C.dom(r), C.cod(r)
     problems = []
-    for a, g in enumerate(G.generators):
+    for a, g in enumerate(generators):
         A, B = C.dom(g), C.cod(g)
         for u in C.morphisms(A, W):
             ru = C.compose(r, u)
@@ -50,30 +52,17 @@ def reference_first_problem(C, r, G, budget):
 
 
 def reference_has_rlp(C, f, against):
-    checked = 0
-    X, Y = C.dom(f), C.cod(f)
-    for g in against:
-        decided, ok = C.solve_rlp(f, g)
-        if decided:
-            checked += 1
-            if not ok:
-                return RlpResult(False, {"generator": C.describe_morphism(g)}, checked)
-            continue
-        A, B = C.dom(g), C.cod(g)
-        for u in C.morphisms(A, X):
-            ru = C.compose(f, u)
-            for v in C.morphisms(B, Y):
-                if ru != C.compose(v, g):
-                    continue
-                checked += 1
-                if not reference_lift(C, g, u, f, v):
-                    witness = {
-                        "generator": C.describe_morphism(g),
-                        "top": C.describe_morphism(u),
-                        "bottom": C.describe_morphism(v),
-                    }
-                    return RlpResult(False, witness, checked)
-    return RlpResult(True, None, checked)
+    budget = Budget(None, "lifting")
+    problem = reference_first_problem(C, f, against, budget)
+    if problem is None:
+        return RlpResult(True, None, budget.used)
+    a, u, v = problem
+    witness = {
+        "generator": C.describe_morphism(against[a]),
+        "top": C.describe_morphism(u),
+        "bottom": C.describe_morphism(v),
+    }
+    return RlpResult(False, witness, budget.used)
 
 
 INSTANCES = {
@@ -99,8 +88,8 @@ def test_first_problem_matches_reference(universe):
     C, G = universe
     for f in maps_to_factor(C):
         used_ref, used = Budget(None, "lifting"), Budget(None, "lifting")
-        expected = reference_first_problem(C, f, G, used_ref)
-        assert fz._first_problem(C, f, G, used) == expected
+        expected = reference_first_problem(C, f, G.generators, used_ref)
+        assert _first_problem(C, f, G.generators, used) == expected
         assert used.used == used_ref.used
 
 
@@ -148,7 +137,17 @@ def test_has_rlp_matches_reference(universe):
         expected = reference_has_rlp(C, f, G.generators)
         result = has_rlp(C, f, G.generators)
         assert result == expected
-        failures += not result.ok
+        if not result.ok:
+            failures += 1
+            # the witness is the problem that factor_map attaches first
+            try:
+                cert = fz.factor_map(C, f, G, fuel=1)
+            except FuelExhausted as exc:
+                cert = exc.certificate
+            step = cert.steps[0]
+            generator = G.generators[step.generator_index]
+            assert result.witness["generator"] == C.describe_morphism(generator)
+            assert result.witness["top"] == C.describe_morphism(step.attach)
         n = result.squares_checked
         with pytest.raises(BudgetExceeded):
             has_rlp(C, f, G.generators, budget=n - 1)
@@ -164,7 +163,8 @@ def test_shared_composites_match_reference_on_reordered_generators(universe, mon
     H = GeneratingSet.of(C, (*gens, gens[len(gens) // 2]))
     for f in maps_to_factor(C):
         used_ref, used = Budget(None, "lifting"), Budget(None, "lifting")
-        assert fz._first_problem(C, f, H, used) == reference_first_problem(C, f, H, used_ref)
+        expected = reference_first_problem(C, f, H.generators, used_ref)
+        assert _first_problem(C, f, H.generators, used) == expected
         assert used.used == used_ref.used
         cert = fz.factor_map(C, f, H)
         if cert.steps:
@@ -189,11 +189,11 @@ def test_no_composite_is_computed_twice(monkeypatch):
     rounds, current = [], []
     first_problem, compose = fz._first_problem, FinWeightedVec.compose
 
-    def round_of(C, r, G, budget):
+    def round_of(C, r, generators, budget):
         rounds.append((r, []))
         current.append(rounds[-1][1])
         try:
-            return first_problem(C, r, G, budget)
+            return first_problem(C, r, generators, budget)
         finally:
             current.pop()
 
